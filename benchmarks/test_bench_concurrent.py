@@ -5,7 +5,7 @@ The seed repo could only *plan* the Section 4 multi-OT-2 ablation offline
 :class:`~repro.wei.concurrent.ConcurrentWorkflowEngine` the same workload is
 now *executed*: sampled durations, real deck state, shared pf400/camera.
 This benchmark validates the engine against the planner and measures the
-makespan speedup of a concurrent campaign over the sequential engine.
+makespan speedup of a two-lane campaign over a one-lane campaign.
 """
 
 import numpy as np
@@ -16,7 +16,6 @@ from repro.core.campaign import run_campaign
 from repro.core.protocol import build_mix_protocol
 from repro.hardware.labware import Plate
 from repro.wei.concurrent import ConcurrentWorkflowEngine
-from repro.wei.engine import WorkflowEngine
 from repro.wei.scheduler import plan_parallel_mixes
 from repro.wei.workflow import WorkflowSpec
 
@@ -137,12 +136,12 @@ def test_concurrent_campaign_beats_sequential_engine(benchmark, report):
     sequential, concurrent = benchmark.pedantic(run_campaigns, rounds=1, iterations=1)
 
     report(
-        "Campaign makespan: sequential engine vs. concurrent engine (2 OT-2s)",
+        "Campaign makespan: one OT-2 lane vs. two concurrent lanes",
         format_table(
             ["engine", "runs", "samples", "best score", "makespan"],
             [
                 (
-                    "sequential",
+                    "one lane",
                     sequential.n_runs,
                     sequential.total_samples,
                     f"{sequential.best_score:.2f}",
@@ -161,9 +160,9 @@ def test_concurrent_campaign_beats_sequential_engine(benchmark, report):
 
     assert concurrent.total_samples == sequential.total_samples
     # Same seeds, same batches -> identical proposals and scores; the solver
-    # cannot tell which engine executed it.  Only the clock differs.
+    # cannot tell which lane executed it.  Only the clock differs.
     for seq_run, conc_run in zip(sequential.runs, concurrent.runs):
         np.testing.assert_allclose(seq_run.scores(), conc_run.scores())
-    # The concurrent engine must finish the same workload strictly faster.
+    # Two lanes must finish the same workload strictly faster.
     assert concurrent.makespan_s < sequential.makespan_s
     assert concurrent.makespan_s < 0.75 * sequential.makespan_s

@@ -223,12 +223,12 @@ def run_heterogeneous_comparison(make_fleet):
         )
         return coordinator, results
 
-    # Speed-blind: a one-argument hint predicts from the default calibration,
-    # so both shards look alike and the first free (slow) lane takes the big
-    # run.  Lookahead: the two-argument predictor prices each run on each
-    # lane's own table and re-ranks when a lane frees.
+    # Speed-blind: the hint ignores the lane's table and predicts from the
+    # default calibration, so both shards look alike and the first free
+    # (slow) lane takes the big run.  Lookahead: the predictor prices each
+    # run on each lane's own table and re-ranks when a lane frees.
     blind, blind_results = run_fleet(
-        "stealing-lpt", lambda config: predict_experiment_duration(config)
+        "stealing-lpt", lambda config, _durations: predict_experiment_duration(config)
     )
     lookahead, lookahead_results = run_fleet("lookahead", predict_experiment_duration)
     return blind, blind_results, lookahead, lookahead_results

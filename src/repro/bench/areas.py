@@ -428,11 +428,11 @@ def _bench_campaign(repeats: int, scale: float) -> AreaResult:
     )
 
     # Heterogeneous scheduling scenario: same 16 runs, same mixed-speed
-    # fleet, two policies.  A one-argument hint prices every shard off the
-    # default calibration (speed-blind); passing the predictor itself gives
-    # the lane-aware two-argument form lookahead re-ranks with.
+    # fleet, two policies.  A hint that ignores the lane's table prices every
+    # shard off the default calibration (speed-blind); passing the predictor
+    # itself gives the lane-aware form lookahead re-ranks with.
     blind_makespan, blind_shard, blind_scores = _run_heterogeneous_campaign(
-        "stealing-lpt", lambda job: predict_experiment_duration(job)
+        "stealing-lpt", lambda job, _durations: predict_experiment_duration(job)
     )
     look_makespan, look_shard, look_scores = _run_heterogeneous_campaign(
         "lookahead", predict_experiment_duration

@@ -576,10 +576,10 @@ def _command_run(args) -> int:
             f"mean delivery latency {mean_latency * 1000:.1f} ms"
         )
         recovery = engine.transport_retry_stats()
-        if any(recovery.values()):
+        if any(recovery.to_dict().values()):
             print(
-                f"Wire recovery: {recovery['retries']} retries, "
-                f"{recovery['resyncs']} resyncs, {recovery['crc_errors']} CRC errors"
+                f"Wire recovery: {recovery.retries} retries, "
+                f"{recovery.resyncs} resyncs, {recovery.crc_errors} CRC errors"
             )
     return 0
 
@@ -598,8 +598,7 @@ def _command_sweep(args) -> int:
         assignment=args.assignment,
     )
     print(render_figure4(sweep))
-    if args.n_ot2 > 1:
-        print(f"\nConcurrent sweep on {args.n_ot2} OT-2 lanes: makespan {sweep.makespan_s / 3600:.2f} h")
+    print(f"\nSweep on {args.n_ot2} OT-2 lane(s): makespan {sweep.makespan_s / 3600:.2f} h")
     return 0
 
 
@@ -632,19 +631,19 @@ def _command_campaign(args) -> int:
         chaos=chaos,
     )
     print(render_figure3(campaign))
-    if campaign.transport_stats:
-        stats = campaign.transport_stats
+    stats = campaign.transport_stats
+    if stats.present:
         print(
             f"\n{args.transport.capitalize()} transport (speedup {args.speedup:g}x): "
-            f"{stats['delivered']} completions delivered out-of-band in "
-            f"{stats['wall_elapsed_s']:.2f}s real time, mean delivery latency "
-            f"{stats['mean_delivery_latency_s'] * 1000:.1f} ms"
+            f"{stats.delivered} completions delivered out-of-band in "
+            f"{stats.wall_elapsed_s:.2f}s real time, mean delivery latency "
+            f"{stats.mean_delivery_latency_s * 1000:.1f} ms"
         )
         if args.transport == "wire":
             print(
-                f"Wire recovery: {stats['retries']} retries, {stats['resyncs']} resyncs, "
-                f"{stats['crc_errors']} CRC errors, "
-                f"{stats['completions_retransmitted']} completions retransmitted"
+                f"Wire recovery: {stats.retries} retries, {stats.resyncs} resyncs, "
+                f"{stats.crc_errors} CRC errors, "
+                f"{stats.completions_retransmitted} completions retransmitted"
                 + (f" (chaos seed {args.chaos_seed})" if chaos is not None else "")
             )
     if args.n_workcells > 1:

@@ -3,9 +3,11 @@
 "We varied the batch size B across different experiments by powers of two from
 1 to 64" with the total number of samples fixed at N = 128 and the target
 colour fixed at RGB (120, 120, 120).  :func:`run_batch_sweep` runs one
-independent experiment per batch size -- each on its own freshly built
-workcell and solver, seeded deterministically from the sweep seed -- and
-collects their trajectories.
+experiment per batch size -- each with its own solver, seeded
+deterministically from the sweep seed -- on one continuous workcell whose
+``n_ot2`` OT-2/barty lanes claim the experiments through the
+:class:`~repro.wei.coordinator.MultiWorkcellCoordinator`, and collects their
+trajectories.
 """
 
 from __future__ import annotations
@@ -20,12 +22,8 @@ from repro.core.campaign import predict_experiment_duration
 from repro.core.experiment import ExperimentConfig, ExperimentResult
 from repro.publish.portal import DataPortal
 from repro.sim.durations import DurationTable
-from repro.wei.concurrent import (
-    ConcurrentWorkflowEngine,
-    run_jobs_work_stealing,
-    run_programs_on_lanes,
-)
-from repro.wei.coordinator import ASSIGNMENT_POLICIES
+from repro.wei.concurrent import ConcurrentWorkflowEngine
+from repro.wei.coordinator import ASSIGNMENT_POLICIES, MultiWorkcellCoordinator
 from repro.wei.workcell import build_color_picker_workcell
 
 __all__ = ["PAPER_BATCH_SIZES", "BatchSweepResult", "run_batch_sweep"]
@@ -39,9 +37,10 @@ class BatchSweepResult:
     """Results of a batch-size sweep, keyed by batch size."""
 
     experiments: Dict[int, ExperimentResult] = field(default_factory=dict)
-    #: Number of OT-2 lanes the sweep executed on (1 = sequential).
+    #: Number of OT-2 lanes the sweep executed on (1 = one after another).
     n_ot2: int = 1
-    #: Shared-clock makespan when the sweep ran concurrently (0 otherwise).
+    #: Simulated time from the first experiment's start to the last one's end
+    #: on the sweep's workcell.
     makespan_s: float = 0.0
 
     @property
@@ -92,27 +91,24 @@ def run_batch_sweep(
 ) -> BatchSweepResult:
     """Run one colour-picker experiment per batch size and collect the results.
 
-    With the default ``n_ot2=1`` every experiment gets an independent
-    workcell (fresh plates, reservoirs and clock) and an independently seeded
-    solver, exactly as the paper's seven experiments were separate robot
-    runs.  With ``n_ot2 > 1`` the experiments are executed *concurrently* on
-    one shared workcell with that many OT-2/barty lanes: by default a lane
-    claims the next pending experiment the moment it frees
-    (``assignment="work-stealing"``, which suits the sweep's heavily skewed
-    per-experiment durations), ``assignment="stealing-lpt"`` additionally
-    orders the shared queue longest-predicted-duration-first (LPT list
-    scheduling from :func:`~repro.core.campaign.predict_experiment_duration`
-    means, predicted against the duration table the engine actually runs),
-    while ``assignment="static"`` pins experiment ``i`` to lane
-    ``i % n_ot2`` for comparison.  ``assignment="lookahead"`` is a
-    coordinated-fleet policy and is rejected here -- run the sweep through
-    :func:`~repro.core.campaign.run_campaign` for online re-ranking.
-    ``durations`` overrides the workcells' duration table (sequential and
-    concurrent paths alike).  With
-    ``measurement="direct"`` (the default) solver behaviour and scores are
-    unchanged and only the simulated wall time shrinks; in ``"vision"`` mode
-    the shared camera's noise stream is consumed in interleaving order, so
-    scores differ slightly from the sequential sweep.
+    Every experiment gets an independently seeded solver (``seed + B``), as
+    the paper's seven experiments were separate robot runs.  They execute on
+    one workcell with ``n_ot2`` OT-2/barty lanes (seeded with ``seed``):
+    with the default ``n_ot2=1`` one after another, with ``n_ot2 > 1``
+    concurrently over shared devices.  ``assignment`` picks how lanes claim
+    experiments, exactly as for :func:`~repro.core.campaign.run_campaign`:
+    ``"work-stealing"`` (the default) claims the next pending experiment the
+    moment a lane frees, which suits the sweep's heavily skewed
+    per-experiment durations; ``"stealing-lpt"`` orders the queue
+    longest-predicted-duration-first and ``"lookahead"`` re-ranks it at
+    every claim, both predicting with
+    :func:`~repro.core.campaign.predict_experiment_duration` against the
+    duration table the workcell actually runs; ``"static"`` pins experiment
+    ``i`` to lane ``i % n_ot2`` for comparison.  ``durations`` overrides the
+    workcell's duration table.  With ``measurement="direct"`` (the default)
+    solver behaviour and scores depend only on the seed, whatever the lane
+    count or policy; in ``"vision"`` mode the shared camera's noise stream
+    is consumed in execution order, so scores depend on the interleaving.
     """
     if not batch_sizes:
         raise ValueError("batch_sizes must not be empty")
@@ -122,12 +118,6 @@ def run_batch_sweep(
         raise ValueError(
             f"unknown assignment policy {assignment!r}; expected one of {ASSIGNMENT_POLICIES}"
         )
-    if assignment == "lookahead":
-        raise ValueError(
-            "assignment='lookahead' needs the coordinated fleet path; "
-            "use run_campaign(assignment='lookahead') instead of run_batch_sweep"
-        )
-    sweep = BatchSweepResult(n_ot2=n_ot2)
     overrides = dict(config_overrides or {})
 
     configs = {}
@@ -149,55 +139,23 @@ def run_batch_sweep(
             **overrides,
         )
 
-    if n_ot2 == 1:
-        for batch_size, config in configs.items():
-            workcell = build_color_picker_workcell(seed=config.seed, durations=durations)
-            app = ColorPickerApp(config, workcell=workcell, portal=portal)
-            sweep.experiments[batch_size] = app.run()
-        return sweep
-
     workcell = build_color_picker_workcell(seed=seed, n_ot2=n_ot2, durations=durations)
-    engine = ConcurrentWorkflowEngine(workcell)
-    lanes = workcell.ot2_barty_pairs()[:n_ot2]
-    ordered = list(configs)
+    coordinator = MultiWorkcellCoordinator([ConcurrentWorkflowEngine(workcell)])
 
-    def make_program(batch_size: int, lane: tuple):
+    def make_program(config: ExperimentConfig, _shard: int, lane: tuple):
         ot2, barty = lane
         app = ColorPickerApp(
-            configs[batch_size], workcell=workcell, portal=portal, ot2=ot2, barty=barty, staging="ot2"
+            config, workcell=workcell, portal=portal, ot2=ot2, barty=barty, staging="ot2"
         )
         return app.program()
 
-    if assignment == "static":
-        results = run_programs_on_lanes(
-            engine,
-            [make_program(size, lanes[index % n_ot2]) for index, size in enumerate(ordered)],
-            n_ot2,
-            lane_names=[ot2 for ot2, _ in lanes],
-        )
-        queue_order = ordered
-    else:
-        queue_order = ordered
-        if assignment == "stealing-lpt":
-            # Longest predicted experiment first; ties keep caller order.
-            # Predict against the table the shared workcell actually runs
-            # (not the default paper calibration), so the ordering matches
-            # what will execute.
-            queue_order = sorted(
-                ordered,
-                key=lambda size: -predict_experiment_duration(
-                    configs[size], durations=workcell.durations
-                ),
-            )
-        results = run_jobs_work_stealing(
-            engine,
-            queue_order,
-            lanes,
-            make_program,
-            lane_names=[ot2 for ot2, _ in lanes],
-        )
-    # Keep the caller's batch-size order, exactly as the sequential path does.
-    results_by_size = dict(zip(queue_order, results))
-    sweep.experiments = {size: results_by_size[size] for size in ordered}
-    sweep.makespan_s = engine.makespan
-    return sweep
+    results = coordinator.run_jobs(
+        list(configs.values()),
+        make_program,
+        lanes=[workcell.ot2_barty_pairs()[:n_ot2]],
+        assignment=assignment,
+        duration_hint=predict_experiment_duration,
+    )
+    return BatchSweepResult(
+        experiments=dict(zip(configs, results)), n_ot2=n_ot2, makespan_s=coordinator.makespan
+    )

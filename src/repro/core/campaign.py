@@ -6,20 +6,19 @@ experiments".  :func:`run_campaign` reproduces that usage pattern: a sequence
 of short colour-picker runs, each published to the same experiment on the
 portal, optionally cycling through different target colours.
 
-With ``n_ot2 > 1`` the campaign switches to the paper's Section 4 ablation,
-*executed* rather than planned: one shared workcell is built with ``n_ot2``
-OT-2/barty lanes and the runs are interleaved by the
-:class:`~repro.wei.concurrent.ConcurrentWorkflowEngine` -- each lane works
-through its share of the runs while the pf400, sciclops and camera are shared
-(more commands in flight, lower total wall time; the CCWH/TWH trade-off).
-Lanes *steal* the next pending run as they free (least-finish-time
-assignment) unless ``assignment="static"`` pins run ``i`` to lane ``i % k``.
-
-With ``n_workcells > 1`` the campaign is sharded across several independent
-workcells by a :class:`~repro.wei.coordinator.MultiWorkcellCoordinator`:
-every lane of every workcell pulls from one shared run queue, the runs'
-records merge into a single portal experiment with their original
-``run_index``es, and the campaign makespan is the slowest shard's.
+Every campaign runs on a fleet driven by a
+:class:`~repro.wei.coordinator.MultiWorkcellCoordinator`: ``n_workcells``
+continuous workcells, each with ``n_ot2`` OT-2/barty lanes.  The default is
+one workcell with one lane, which runs the campaign's runs one after another.
+With ``n_ot2 > 1`` the campaign becomes the paper's Section 4 ablation,
+*executed* rather than planned: each lane works through its share of the
+runs while the pf400, sciclops and camera are shared (more commands in
+flight, lower total wall time; the CCWH/TWH trade-off).  Lanes *steal* the
+next pending run as they free (least-finish-time assignment) unless
+``assignment="static"`` pins run ``i`` to lane ``i % k``.  With
+``n_workcells > 1`` every lane of every workcell pulls from one shared run
+queue, the runs' records merge into a single portal experiment with their
+original ``run_index``es, and the campaign makespan is the slowest shard's.
 
 With ``transport="paced"`` the campaign runs in *real time*: every module is
 backed by a :class:`~repro.wei.drivers.mock.PacedMockTransport` that paces
@@ -35,7 +34,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import asdict, dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.core.app import ColorPickerApp
 from repro.core.experiment import ExperimentConfig, ExperimentResult
@@ -79,13 +78,8 @@ class TransportReport:
     (:class:`~repro.wei.drivers.bridge.BridgeStats` under the bridge
     condition, :class:`~repro.wei.concurrent.TransportRetryStats` from the
     wire transports' own conditions), so the report can never mix counters
-    from two different instants of one component.
-
-    Historical dict access keeps working -- ``stats["delivered"]``,
-    ``"retries" in stats``, ``dict(stats)``, ``if campaign.transport_stats:``
-    -- through :func:`dataclasses.asdict`-backed mapping views.  ``present``
-    is ``False`` for sim campaigns, which makes the report falsy and iterate
-    as empty, exactly like the historical empty dict.
+    from two different instants of one component.  ``present`` is ``False``
+    for sim campaigns, whose :meth:`to_dict` is empty.
     """
 
     delivered: int = 0
@@ -111,38 +105,6 @@ class TransportReport:
         del data["present"]
         return data
 
-    # -- dict-style views ------------------------------------------------
-    def __bool__(self) -> bool:
-        return self.present
-
-    def __getitem__(self, key: str) -> Any:
-        return self.to_dict()[key]
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.to_dict())
-
-    def __len__(self) -> int:
-        return len(self.to_dict())
-
-    def __contains__(self, key: object) -> bool:
-        return key in self.to_dict()
-
-    def keys(self):
-        """Counter names, dict-style."""
-        return self.to_dict().keys()
-
-    def items(self):
-        """``(name, value)`` pairs, dict-style."""
-        return self.to_dict().items()
-
-    def values(self):
-        """Counter values, dict-style."""
-        return self.to_dict().values()
-
-    def get(self, key: str, default: Any = None) -> Any:
-        """Dict-style lookup with a default."""
-        return self.to_dict().get(key, default)
-
 
 @dataclass
 class CampaignResult:
@@ -153,26 +115,23 @@ class CampaignResult:
     #: :class:`~repro.publish.store.DurableDataPortal` behave identically here.
     portal: PortalBackend
     runs: List[ExperimentResult] = field(default_factory=list)
-    #: Number of OT-2 lanes per workcell (1 = sequential within a workcell).
+    #: Number of OT-2 lanes per workcell (1 = runs one after another).
     n_ot2: int = 1
     #: Number of independent workcells the campaign was sharded across.
     n_workcells: int = 1
-    #: Total simulated time of the whole campaign: the sum of run durations
-    #: when sequential, the shared-clock makespan when concurrent, the
-    #: slowest shard's makespan when sharded across workcells.
+    #: Total simulated time of the whole campaign: the slowest workcell's
+    #: makespan.
     makespan_s: float = 0.0
     #: Per-shard makespans when ``n_workcells > 1`` (empty otherwise).
     workcell_makespans: List[float] = field(default_factory=list)
-    #: Which shard/lane executed each run, in run order, for the concurrent
-    #: and sharded modes (empty for the sequential campaign).
+    #: Which shard/lane executed each run, in run order.
     assignments: List[Optional[ShardAssignment]] = field(default_factory=list)
     #: Execution mode the campaign ran under (``"sim"`` or ``"paced"``).
     transport: str = "sim"
     #: Transport-layer report for transport campaigns: completion counts,
     #: the real wall seconds the campaign took, delivery-latency summary
-    #: statistics and wire recovery counters.  A typed
-    #: :class:`TransportReport` that still answers dict-style access; falsy
-    #: and empty for sim campaigns.
+    #: statistics and wire recovery counters; ``present`` is ``False`` for
+    #: sim campaigns.
     transport_stats: TransportReport = field(default_factory=TransportReport)
 
     @property
@@ -363,14 +322,13 @@ def run_campaign(
         the whole campaign is reproducible.
     n_ot2:
         Number of OT-2/barty lanes per workcell.  1 (the default) runs the
-        campaign sequentially, each run on a fresh workcell, exactly as
-        before.  ``n_ot2 > 1`` builds one shared workcell and *executes* the
-        runs concurrently over its lanes.  With ``measurement="direct"``
-        (the default) solver proposals and measured scores are identical to
-        the sequential campaign with the same seed (only the timing
-        differs), which is what makes the TWH-vs-CCWH comparison
+        campaign's runs one after another on one continuous workcell;
+        ``n_ot2 > 1`` *executes* them concurrently over the lanes.  With
+        ``measurement="direct"`` (the default) solver proposals and measured
+        scores are identical for every lane count with the same seed (only
+        the timing differs), which is what makes the TWH-vs-CCWH comparison
         meaningful; ``"vision"`` mode draws camera noise from the shared
-        device in interleaving order, so scores differ slightly.
+        device in execution order, so scores depend on the interleaving.
     n_workcells:
         Number of independent workcells to shard the campaign across.  With
         ``n_workcells > 1`` a :class:`MultiWorkcellCoordinator` drives one
@@ -409,8 +367,7 @@ def run_campaign(
     on_run_complete:
         Callback fired with a :class:`~repro.wei.coordinator.RunCompletion`
         as each run finishes -- *after* its record has been ingested into
-        the portal, so the callback sees the streamed state.  Sequential
-        campaigns fire it too, with ``assignment=None``.
+        the portal, so the callback sees the streamed state.
     transport:
         ``"sim"`` (the default) completes every action inline on the
         simulated clock; ``"paced"`` backs every module with a
@@ -422,9 +379,8 @@ def run_campaign(
         ACK/retry and reconnect-with-resync.  Scores and portal records are
         identical in every mode (same seeds, same sampled durations);
         ``campaign.transport_stats`` reports the delivery counters, latency
-        and -- for the wire -- retry/resync/CRC accounting.  A transport
-        campaign always uses the coordinated execution path, even for a
-        single lane.  Ignored when an explicit ``coordinator`` is passed
+        and -- for the wire -- retry/resync/CRC accounting.  Ignored when an
+        explicit ``coordinator`` is passed
         (its engines keep whatever transports they were built with).
     speedup:
         Wall-clock compression for the transport modes: 1000 paces 1000
@@ -443,8 +399,8 @@ def run_campaign(
 
     In every mode each run's record streams into the portal the moment the
     run completes (never post-hoc), tagged with the executing workcell and
-    lane when the campaign is coordinated; the portal therefore holds every
-    record before this function returns.
+    lane; the portal therefore holds every record before this function
+    returns.
     """
     if n_runs < 1:
         raise ValueError(f"n_runs must be >= 1, got {n_runs}")
@@ -525,53 +481,19 @@ def run_campaign(
         if campaign_span.span is not None:
             obs_tracer.bind("campaign", campaign_span.span.span_id)
         try:
-            if n_workcells > 1 or n_ot2 > 1 or coordinator is not None or transport != "sim":
-                return _run_coordinated_campaign(
-                    campaign,
-                    configs,
-                    solver=solver,
-                    seed=seed,
-                    assignment=assignment,
-                    speed_profiles=speed_profiles,
-                    coordinator=coordinator,
-                    on_run_complete=on_run_complete,
-                    speedup=speedup,
-                    completion_timeout_s=completion_timeout_s,
-                    chaos=chaos,
-                )
-
-            sequential_durations: Optional[DurationTable] = None
-            if speed_profiles is not None:
-                sequential_durations = speed_profiles[0].apply(paper_calibrated_durations())
-            elapsed = 0.0
-            for run_index, config in enumerate(configs):
-                workcell = build_color_picker_workcell(
-                    seed=config.seed, durations=sequential_durations
-                )
-                app = ColorPickerApp(config, workcell=workcell, portal=portal)
-                result = app.run()
-                campaign.runs.append(result)
-                record = _campaign_record(config, result, solver, run_index)
-                with obs_tracer.span(
-                    "portal.ingest", run_id=record.run_id, run_index=run_index
-                ):
-                    portal.ingest(record)
-                # Sequential runs share one notional clock: each starts where
-                # the previous ended, so completion times are monotonic like
-                # a shard's.
-                elapsed += result.elapsed_s
-                if on_run_complete is not None:
-                    on_run_complete(
-                        RunCompletion(
-                            job_index=run_index,
-                            job=config,
-                            result=result,
-                            assignment=None,
-                            time=elapsed,
-                        )
-                    )
-            campaign.makespan_s = sum(run.elapsed_s for run in campaign.runs)
-            return campaign
+            return _run_coordinated_campaign(
+                campaign,
+                configs,
+                solver=solver,
+                seed=seed,
+                assignment=assignment,
+                speed_profiles=speed_profiles,
+                coordinator=coordinator,
+                on_run_complete=on_run_complete,
+                speedup=speedup,
+                completion_timeout_s=completion_timeout_s,
+                chaos=chaos,
+            )
         finally:
             campaign_span.set_sim(start=0.0, end=campaign.makespan_s)
             obs_tracer.unbind("campaign")
@@ -591,12 +513,11 @@ def _run_coordinated_campaign(
     completion_timeout_s: float = 60.0,
     chaos: Optional[Any] = None,
 ) -> CampaignResult:
-    """Execute a campaign over concurrent lanes and/or several workcells.
+    """Execute a campaign over the lanes of one or more workcells.
 
-    One path serves both concurrent modes: a single-workcell campaign with
-    ``n_ot2`` lanes is just a one-shard fleet, so lane assignment, run
-    placement records and portal tagging are identical whichever axis is
-    scaled.  Each run's record is *streamed* into the portal by a coordinator
+    One path serves every campaign: a single-workcell campaign is just a
+    one-shard fleet, so lane assignment, run placement records and portal
+    tagging are identical whichever axis is scaled.  Each run's record is *streamed* into the portal by a coordinator
     run listener the moment its shard completes it -- shard/lane tags and the
     original ``run_index`` preserved -- so the portal is complete before
     ``run_jobs`` returns, and mid-campaign ``attach_workcell`` /
@@ -631,8 +552,7 @@ def _run_coordinated_campaign(
 
     if coordinator is None:
         if campaign.n_workcells == 1:
-            # A one-shard campaign keeps the default workcell name and seed,
-            # matching the historical single-workcell concurrent mode.
+            # A one-shard campaign keeps the default workcell name and seed.
             durations = None
             if speed_profiles is not None:
                 durations = speed_profiles[0].apply(paper_calibrated_durations())
@@ -738,7 +658,7 @@ def _transport_report(
         rejected_late += stats.rejected_late
         timed_out += stats.timed_out
         latencies.extend(engine.completion_latencies())
-        for key, value in engine.transport_retry_stats().items():
+        for key, value in engine.transport_retry_stats().to_dict().items():
             recovery[key] += value
     if not any_transport:
         return TransportReport()

@@ -16,10 +16,10 @@ device clock) and returns an :class:`ActionHandle`; calling
 :meth:`ActionHandle.complete` then applies the action's state mutations (deck
 moves, reservoir draws, well fills) and yields the return value.  The plain
 action methods (``transfer``, ``run_protocol``, ...) are submit-then-complete
-in one call, so sequential callers are unaffected, while the concurrent
-engine defers ``complete()`` to the action's *end* event -- on the real
-workcell a plate only appears at its destination when the arm gets there, not
-when the command is accepted.
+in one call for direct callers, while the workflow engine defers
+``complete()`` to the action's *end* event -- on the real workcell a plate
+only appears at its destination when the arm gets there, not when the
+command is accepted.
 """
 
 from __future__ import annotations
@@ -81,8 +81,8 @@ class ActionHandle:
     The handle is created once the command has been accepted: its duration is
     sampled, its :class:`ActionRecord` logged and the device clock advanced to
     ``end_time``.  The action's *state mutations* have not happened yet; they
-    are applied by :meth:`complete`, which the sequential path calls
-    immediately and the concurrent engine calls at the action's end event.
+    are applied by :meth:`complete`, which synchronous callers invoke
+    immediately and the workflow engine calls at the action's end event.
     """
 
     module: str

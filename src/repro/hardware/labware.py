@@ -258,9 +258,12 @@ class TipRack:
 
 
 class PlateStack:
-    """A sciclops storage tower holding fresh microplates."""
+    """A sciclops storage tower holding fresh microplates.
 
-    _barcode_counter = itertools.count(1)
+    Barcodes number each tower's plates from 1 (``<prefix>-0001``, ...), so
+    they are a function of the tower's history alone; distinct tower
+    prefixes keep them unique within a workcell.
+    """
 
     def __init__(self, capacity: int = 20, plate_rows: int = 8, plate_cols: int = 12, prefix: str = "plate"):
         check_positive("capacity", capacity)
@@ -269,6 +272,7 @@ class PlateStack:
         self.plate_cols = plate_cols
         self.prefix = prefix
         self._remaining = capacity
+        self._barcode_counter = itertools.count(1)
 
     @property
     def remaining(self) -> int:

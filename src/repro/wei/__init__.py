@@ -11,15 +11,15 @@ colour-picker application needs:
 * :mod:`repro.wei.workcell` -- workcell assembly, including a YAML loader and
   the default colour-picker workcell factory,
 * :mod:`repro.wei.workflow` -- declarative workflow specifications,
-* :mod:`repro.wei.engine` -- the sequential workflow executor with retries
-  and step timing records,
-* :mod:`repro.wei.concurrent` -- the event-driven engine that interleaves
-  many workflow runs / application programs over one shared workcell (the
-  Section 4 multi-OT-2 ablation, executed) via the two-phase
-  submit/complete action lifecycle,
-* :mod:`repro.wei.coordinator` -- the multi-workcell coordinator that shards
-  campaigns across several independent engines with least-finish-time
-  (work-stealing) assignment and a merged record stream,
+* :mod:`repro.wei.engine` -- workflow run results, step timing records,
+  ``WorkflowError`` and the retrying command submission,
+* :mod:`repro.wei.concurrent` -- the one executor: an event-driven engine
+  that runs workflows and application programs over a workcell (one
+  program, or many interleaved over shared devices for the Section 4
+  multi-OT-2 ablation) via the two-phase submit/complete action lifecycle,
+* :mod:`repro.wei.coordinator` -- the coordinator that distributes every
+  run, sweep and campaign over one or more engines' lanes with
+  least-finish-time (work-stealing) assignment and a merged record stream,
 * :mod:`repro.wei.runlog` -- per-workflow-run timing files (the paper saves
   one per run for post-hoc analysis),
 * :mod:`repro.wei.scheduler` -- resource-timeline planning used by the
@@ -33,7 +33,7 @@ from repro.wei.concurrent import (
     ProgramHandle,
 )
 from repro.wei.coordinator import MultiWorkcellCoordinator, ShardAssignment
-from repro.wei.engine import StepResult, WorkflowEngine, WorkflowError, WorkflowRunResult
+from repro.wei.engine import StepResult, WorkflowError, WorkflowRunResult
 from repro.wei.module import ActionSubmission, Module, ModuleActionError
 from repro.wei.runlog import RunLogger
 from repro.wei.scheduler import ParallelMixPlan, plan_parallel_mixes
@@ -48,7 +48,6 @@ __all__ = [
     "build_color_picker_workcell",
     "WorkflowSpec",
     "WorkflowStep",
-    "WorkflowEngine",
     "WorkflowError",
     "WorkflowRunResult",
     "StepResult",

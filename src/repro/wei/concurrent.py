@@ -1,11 +1,13 @@
-"""Event-driven concurrent workflow execution.
+"""Event-driven workflow execution: the one executor.
 
-The sequential :class:`~repro.wei.engine.WorkflowEngine` advances the shared
-clock action-by-action, so only one workflow can be in flight at a time.  The
-paper's Section 4 ablation ("integrating additional OT2s in our workflow, so
-that multiple plates of colors could be mixed at once") needs many workflow
-runs interleaved over shared devices.  :class:`ConcurrentWorkflowEngine`
-provides that:
+:class:`ConcurrentWorkflowEngine` executes every device action in the repo.
+A single experiment (:meth:`ColorPickerApp.run
+<repro.core.app.ColorPickerApp.run>`) is one program on an engine; sweeps
+and campaigns are lanes of programs distributed by the
+:class:`~repro.wei.coordinator.MultiWorkcellCoordinator`.  The paper's
+Section 4 ablation ("integrating additional OT2s in our workflow, so that
+multiple plates of colors could be mixed at once") needs many workflow runs
+interleaved over shared devices, which the engine provides:
 
 * every in-flight workflow (or application *program*) is a cooperative task;
 * each step is an exclusive reservation of its module, recorded on a
@@ -24,9 +26,8 @@ provides that:
   sits at the exchange, is parked until a later completion frees the slot
   (the physical workcell has single-plate nests, so two concurrent plates
   must take turns at the camera stage and the exchange);
-* per-step retries of recoverable command failures reuse the sequential
-  engine's :func:`~repro.wei.engine.attempt_invocation`, so fault injection
-  behaves identically.
+* per-step retries of recoverable command failures go through
+  :func:`~repro.wei.engine.attempt_submission`, in phase one.
 
 Applications participate through *programs*: generators that yield requests
 
@@ -96,11 +97,7 @@ __all__ = [
     "ConcurrentWorkflowEngine",
     "TransportRetryStats",
     "RunSpanHooks",
-    "chain_programs",
     "claim_jobs",
-    "run_programs_on_lanes",
-    "run_jobs_work_stealing",
-    "run_programs_work_stealing",
 ]
 
 
@@ -108,11 +105,8 @@ __all__ = [
 class TransportRetryStats:
     """Wire-level recovery counters summed over one engine's drivers.
 
-    A typed snapshot (taken under each driver's own lock via its
-    ``stats()`` view) that still reads like the dict it replaced:
-    ``stats["retries"]``, ``"resyncs" in stats``, ``dict(stats)`` and
-    iteration all work, so fleet views and soak logs did not have to
-    change shape.
+    A typed snapshot, taken under each driver's own lock via its ``stats()``
+    view; :meth:`to_dict` gives the JSON form.
     """
 
     retries: int = 0
@@ -124,74 +118,6 @@ class TransportRetryStats:
     def to_dict(self) -> Dict[str, int]:
         """JSON-serialisable form."""
         return asdict(self)
-
-    # -- dict-style views (compatibility with the untyped snapshot) -----
-    def __getitem__(self, key: str) -> int:
-        try:
-            return asdict(self)[key]
-        except KeyError:
-            raise KeyError(key) from None
-
-    def __iter__(self):
-        return iter(asdict(self))
-
-    def __len__(self) -> int:
-        return len(asdict(self))
-
-    def __contains__(self, key: object) -> bool:
-        return key in asdict(self)
-
-    def keys(self):
-        return asdict(self).keys()
-
-    def items(self):
-        return asdict(self).items()
-
-    def values(self):
-        return asdict(self).values()
-
-    def get(self, key: str, default: Any = None) -> Any:
-        return asdict(self).get(key, default)
-
-
-def chain_programs(programs: Sequence[Generator]) -> Generator:
-    """Run several programs one after another as a single program.
-
-    The combined program forwards every request of each constituent program
-    in order and returns the list of their return values.  Campaign / sweep
-    lanes use this to pin a sequence of experiments to one OT-2 lane while
-    other lanes run concurrently.
-    """
-    results = []
-    for program in programs:
-        results.append((yield from program))
-    return results
-
-
-def run_programs_on_lanes(
-    engine: "ConcurrentWorkflowEngine",
-    programs: Sequence[Generator],
-    n_lanes: int,
-    lane_names: Optional[Sequence[str]] = None,
-) -> List[Any]:
-    """Round-robin ``programs`` over ``n_lanes`` concurrent lanes.
-
-    Program ``i`` is pinned to lane ``i % n_lanes``; each lane chains its
-    programs sequentially while lanes run concurrently.  Runs the engine to
-    completion and returns the per-program results in submission order.
-    """
-    if n_lanes < 1:
-        raise ValueError(f"n_lanes must be >= 1, got {n_lanes}")
-    handles = []
-    for lane in range(min(n_lanes, len(programs))):
-        name = f"lane-{lane_names[lane]}" if lane_names else f"lane-{lane}"
-        handles.append(engine.submit_program(chain_programs(programs[lane::n_lanes]), name=name))
-    engine.run_until_complete()
-    results: List[Any] = [None] * len(programs)
-    for lane, handle in enumerate(handles):
-        for offset, value in enumerate(handle.result):
-            results[lane + offset * len(handles)] = value
-    return results
 
 
 def claim_jobs(
@@ -225,10 +151,9 @@ def claim_jobs(
     lanes empty the queue).  This is the hook behind the coordinator's
     ``assignment="lookahead"`` re-ranking policy.
 
-    Both the single-engine work-stealing helpers and the
-    :class:`~repro.wei.coordinator.MultiWorkcellCoordinator` build their
-    lanes from this one dispatcher, so the claim/record protocol lives in
-    exactly one place.  Returns the number of jobs this lane ran.
+    Every lane of the :class:`~repro.wei.coordinator.MultiWorkcellCoordinator`
+    is this one dispatcher, so the claim/record protocol lives in exactly
+    one place.  Returns the number of jobs this lane ran.
     """
     claimed = 0
     while queue:
@@ -297,76 +222,6 @@ class RunSpanHooks:
         )
 
 
-def run_jobs_work_stealing(
-    engine: "ConcurrentWorkflowEngine",
-    jobs: Sequence[Any],
-    lanes: Sequence[Any],
-    make_program: Callable[[Any, Any], Generator],
-    *,
-    lane_names: Optional[Sequence[str]] = None,
-) -> List[Any]:
-    """Run ``jobs`` over ``lanes`` with least-finish-time (work-stealing) pulls.
-
-    Instead of pinning job ``i`` to lane ``i % k`` up front, every lane is a
-    dispatcher program that pulls the next pending job from a shared queue the
-    moment it finishes its previous one.  Because the event scheduler resumes
-    the dispatcher exactly at its lane's finish time, the next job always goes
-    to the lane that frees *earliest in simulated time* -- on uneven job
-    durations this bounds the makespan by the classic greedy list-scheduling
-    guarantee instead of the arbitrarily-bad static split.
-
-    ``make_program(job, lane)`` builds the job's program once a lane has
-    claimed it, so lane-specific resources (which OT-2, which barty) bind at
-    claim time.  Runs the engine to completion and returns the per-job
-    results in submission order.  (Callers that need to know which lane ran
-    which job use :class:`~repro.wei.coordinator.MultiWorkcellCoordinator`,
-    which records every claim.)
-    """
-    if not lanes:
-        raise ValueError("work stealing needs at least one lane")
-    queue: Deque[tuple] = deque(enumerate(jobs))
-    results: List[Any] = [None] * len(jobs)
-
-    for position, lane in enumerate(lanes):
-        name = str(lane_names[position]) if lane_names else str(position)
-        hooks = RunSpanHooks(engine, f"lane-{name}")
-        engine.submit_program(
-            claim_jobs(
-                queue,
-                results,
-                lambda job, lane=lane: make_program(job, lane),
-                hooks.claimed,
-                on_done=hooks.done,
-            ),
-            name=f"lane-{name}",
-        )
-    engine.run_until_complete()
-    return results
-
-
-def run_programs_work_stealing(
-    engine: "ConcurrentWorkflowEngine",
-    programs: Sequence[Generator],
-    n_lanes: int,
-    lane_names: Optional[Sequence[str]] = None,
-) -> List[Any]:
-    """Work-stealing counterpart of :func:`run_programs_on_lanes`.
-
-    ``n_lanes`` anonymous lanes pull pre-built programs from a shared queue;
-    use :func:`run_jobs_work_stealing` directly when programs must bind to
-    the claiming lane's resources.
-    """
-    if n_lanes < 1:
-        raise ValueError(f"n_lanes must be >= 1, got {n_lanes}")
-    return run_jobs_work_stealing(
-        engine,
-        programs,
-        list(range(n_lanes)),
-        lambda program, _lane: program,
-        lane_names=lane_names,
-    )
-
-
 class ConcurrencyError(RuntimeError):
     """Raised when concurrent execution can no longer make progress."""
 
@@ -414,7 +269,7 @@ class ConcurrentRun:
     result: Optional[WorkflowRunResult] = None
     error: Optional[WorkflowError] = None
     done: bool = False
-    #: Name of the program this workflow was submitted for, if any.  Errors
+    #: Name of the program this workflow was requested by, if any.  Errors
     #: of program-owned workflows are delivered to (and handled by) the
     #: program, so ``run_until_complete`` does not re-raise them itself.
     owner: Optional[str] = None
@@ -589,7 +444,7 @@ class ConcurrentWorkflowEngine:
         the wire) and ``completions_retransmitted`` (device-side re-sends).
         Returns a typed :class:`TransportRetryStats` snapshot (each driver's
         counters are read atomically under that driver's own lock by its
-        ``stats()``); dict-style access still works for legacy callers.
+        ``stats()``).
         """
         totals = {
             "retries": 0,
@@ -637,11 +492,29 @@ class ConcurrentWorkflowEngine:
         The first step starts immediately (at the current simulated time);
         call :meth:`run_until_complete` to drive everything to completion.
         """
+        handle = self._start_workflow(spec, payload, on_complete, owner=None)
+        self._workflows.append(handle)
+        return handle
+
+    def _start_workflow(
+        self,
+        spec: WorkflowSpec,
+        payload: Optional[Mapping[str, Any]],
+        on_complete: Optional[Callable[[ConcurrentRun], None]],
+        owner: Optional[str],
+    ) -> ConcurrentRun:
+        """Create a workflow's handle and start its first step.
+
+        Only :meth:`submit` keeps the handle: a program-owned workflow's
+        outcome is delivered to its program, so the engine holds nothing of
+        it (or its camera frames) once it finishes.
+        """
         payload = dict(payload or {})
         now = self.clock.now()
         handle = ConcurrentRun(
             spec=spec,
             payload=payload,
+            owner=owner,
             result=WorkflowRunResult(
                 workflow_name=spec.name,
                 start_time=now,
@@ -656,7 +529,6 @@ class ConcurrentWorkflowEngine:
             handle.span_id = tracer.new_id()
             handle.span_start_wall = time.monotonic()
             handle.span_start_sim = now
-        self._workflows.append(handle)
         self._next_step(_WorkflowTask(handle=handle, on_complete=on_complete))
         return handle
 
@@ -708,7 +580,7 @@ class ConcurrentWorkflowEngine:
                 if program.error is not None:
                     raise program.error
             for workflow in self._workflows:
-                if workflow.error is not None and workflow.owner is None:
+                if workflow.error is not None:
                     raise workflow.error
         return self
 
@@ -856,7 +728,7 @@ class ConcurrentWorkflowEngine:
                 else:
                     self._resume_program(handle, value=run.result)
 
-            self.submit(spec, payload, on_complete=workflow_done).owner = handle.name
+            self._start_workflow(spec, payload, workflow_done, owner=handle.name)
         elif kind == "action":
             if len(request) != 4:
                 self._resume_program(

@@ -59,7 +59,6 @@ mutations land at action completion on every shard.
 
 from __future__ import annotations
 
-import inspect
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -101,8 +100,7 @@ def shard_seed(seed: Optional[int], shard: int) -> Optional[int]:
 #: Assignment policies understood by :meth:`MultiWorkcellCoordinator.run_jobs`:
 #: ``"work-stealing"`` pulls jobs in submission order, ``"stealing-lpt"``
 #: pulls them longest-predicted-duration-first (classic LPT list scheduling,
-#: needs a ``duration_hint``; lane-aware when the hint takes the lane's
-#: duration table), ``"lookahead"`` re-ranks the remaining queue each time a
+#: needs a lane-aware ``duration_hint(job, durations)``), ``"lookahead"`` re-ranks the remaining queue each time a
 #: lane frees by predicted-finish-on-that-lane, drift-corrected online (also
 #: needs a ``duration_hint``), ``"static"`` pins job ``i`` to lane ``i % L``.
 #: See ``docs/scheduling.md`` for the full matrix.
@@ -304,12 +302,9 @@ class _CampaignContext:
     #: Real (monotonic) time each job entered its queue, for the
     #: queue-wait histograms observed at claim time.
     enqueue_wall: Dict[int, float] = field(default_factory=dict)
-    #: The campaign's ``duration_hint`` and its calling convention: arity 1
-    #: is the legacy ``hint(job)`` form, arity 2 passes the predicting
-    #: shard's :class:`~repro.sim.durations.DurationTable` as the second
-    #: argument (lane-aware prediction on heterogeneous fleets).
-    duration_hint: Optional[Callable[..., float]] = None
-    hint_arity: int = 1
+    #: The campaign's ``duration_hint(job, durations)``, called with the
+    #: predicting shard's :class:`~repro.sim.durations.DurationTable`.
+    duration_hint: Optional[Callable[[Any, Any], float]] = None
     #: Cached raw predictions keyed ``(shard_id, job_index)`` -- each
     #: shard's table is fixed for the campaign, so one prediction per
     #: (shard, job) pair suffices however often lookahead re-ranks.
@@ -325,30 +320,6 @@ class _CampaignContext:
     #: Per-claimed-job ``(raw_prediction, claim_sim_time)`` used to update
     #: the owning shard's drift EWMA at completion.
     claim_info: Dict[int, Tuple[float, float]] = field(default_factory=dict)
-
-
-def _hint_arity(hint: Callable[..., float]) -> int:
-    """Calling convention of a ``duration_hint``: 1 = ``hint(job)``, 2 =
-    ``hint(job, durations)`` (lane-aware, e.g.
-    :func:`~repro.core.campaign.predict_experiment_duration`).
-
-    Inspected once per campaign; uninspectable callables (builtins, some
-    callables implemented in C) fall back to the legacy 1-argument form.
-    """
-    try:
-        signature = inspect.signature(hint)
-    except (TypeError, ValueError):
-        return 1
-    positional = 0
-    for parameter in signature.parameters.values():
-        if parameter.kind in (
-            inspect.Parameter.POSITIONAL_ONLY,
-            inspect.Parameter.POSITIONAL_OR_KEYWORD,
-        ):
-            positional += 1
-        elif parameter.kind == inspect.Parameter.VAR_POSITIONAL:
-            return 2
-    return 2 if positional >= 2 else 1
 
 
 class MultiWorkcellCoordinator:
@@ -552,8 +523,8 @@ class MultiWorkcellCoordinator:
                     utilisation=shard.engine.overall_utilisation(),
                     makespan=shard.engine.makespan,
                     transport=shard.engine.transport_name,
-                    retries=retry_stats["retries"],
-                    resyncs=retry_stats["resyncs"],
+                    retries=retry_stats.retries,
+                    resyncs=retry_stats.resyncs,
                     delivery_p50_s=delivery_p50,
                     delivery_p95_s=delivery_p95,
                     queue_wait_p50_s=queue_p50,
@@ -722,7 +693,7 @@ class MultiWorkcellCoordinator:
         *,
         lanes: Optional[Sequence[Sequence[Any]]] = None,
         assignment: str = "work-stealing",
-        duration_hint: Optional[Callable[[Any], float]] = None,
+        duration_hint: Optional[Callable[[Any, Any], float]] = None,
     ) -> List[Any]:
         """Execute ``jobs`` across the fleet and return results in job order.
 
@@ -746,15 +717,15 @@ class MultiWorkcellCoordinator:
         ``i % L`` of the flattened lane list -- kept for benchmarking
         against the dynamic policies.
 
-        ``duration_hint`` may take one argument (``hint(job)``, one global
-        prediction) or two (``hint(job, durations)``, called with each
-        predicting shard's :class:`~repro.sim.durations.DurationTable` --
-        lane-aware, e.g.
-        :func:`~repro.core.campaign.predict_experiment_duration`).  With a
-        lane-aware hint, ``"stealing-lpt"`` orders the queue by consensus
-        *normalized* predicted size (per-shard predictions divided by that
-        shard's mean, averaged), so the ordering stays meaningful when lane
-        speeds diverge; see ``docs/scheduling.md``.
+        ``duration_hint(job, durations)`` is called with each predicting
+        shard's :class:`~repro.sim.durations.DurationTable`, so predictions
+        are lane-aware (e.g.
+        :func:`~repro.core.campaign.predict_experiment_duration`); a
+        speed-blind hint simply ignores the table.  ``"stealing-lpt"``
+        orders the queue by consensus *normalized* predicted size (per-shard
+        predictions divided by that shard's mean, averaged), so the ordering
+        stays meaningful when lane speeds diverge; see
+        ``docs/scheduling.md``.
 
         Run listeners (:meth:`add_run_listener`) fire as each job completes,
         and :meth:`attach_workcell` / :meth:`drain_workcell` may reshape the
@@ -773,7 +744,7 @@ class MultiWorkcellCoordinator:
             )
         if assignment in ("stealing-lpt", "lookahead") and duration_hint is None:
             raise ValueError(
-                f"assignment={assignment!r} needs a duration_hint(job) predictor "
+                f"assignment={assignment!r} needs a duration_hint(job, durations) predictor "
                 "to order the shared queue by predicted duration"
             )
         if self._campaign is not None:
@@ -793,14 +764,13 @@ class MultiWorkcellCoordinator:
             shard.handles = []
             shard.queues = []
 
-        hint_arity = _hint_arity(duration_hint) if duration_hint is not None else 1
         shared: Optional[Deque[tuple]] = None
         if assignment in ("work-stealing", "lookahead"):
             # Lookahead keeps submission order: each lane re-ranks the
             # remaining queue itself at every claim.
             shared = deque(enumerate(jobs))
         elif assignment == "stealing-lpt":
-            shared = self._lpt_queue(jobs, duration_hint, hint_arity, active)
+            shared = self._lpt_queue(jobs, duration_hint, active)
         context = _CampaignContext(
             jobs=jobs,
             make_program=make_program,
@@ -809,7 +779,6 @@ class MultiWorkcellCoordinator:
             queue=shared,
             enqueue_wall={index: time.monotonic() for index in range(len(jobs))},
             duration_hint=duration_hint,
-            hint_arity=hint_arity,
         )
         self._campaign = context
         try:
@@ -859,32 +828,25 @@ class MultiWorkcellCoordinator:
     def _predict(self, context: _CampaignContext, shard: _Shard, index: int, job: Any) -> float:
         """Raw (drift-uncorrected) predicted duration of ``job`` on ``shard``.
 
-        Lane-aware when the campaign's hint takes the lane's duration table
-        (arity 2); cached per ``(shard, job)`` since each shard's table is
-        fixed for the campaign.
+        Priced on the shard's duration table; cached per ``(shard, job)``
+        since each shard's table is fixed for the campaign.
         """
         key = (shard.shard_id, index)
         cached = context.predictions.get(key)
         if cached is None:
-            if context.hint_arity >= 2:
-                cached = float(context.duration_hint(job, shard.engine.workcell.durations))
-            else:
-                cached = float(context.duration_hint(job))
+            cached = float(context.duration_hint(job, shard.engine.workcell.durations))
             context.predictions[key] = cached
         return cached
 
     def _lpt_queue(
         self,
         jobs: Sequence[Any],
-        duration_hint: Callable[..., float],
-        hint_arity: int,
+        duration_hint: Callable[[Any, Any], float],
         active: List[_Shard],
     ) -> Deque[tuple]:
         """The ``"stealing-lpt"`` shared queue: longest-predicted-first.
 
-        With a legacy 1-argument hint every lane predicts the same number,
-        so the queue is ordered by it directly.  With a lane-aware hint the
-        shards may disagree (a 2x-OT-2 shard predicts every run shorter), so
+        Shards may disagree (a 2x-OT-2 shard predicts every run shorter), so
         each job is ranked by its *consensus normalized* size: each active
         shard's predictions are divided by that shard's mean prediction
         (removing the shard's overall speed) and averaged across shards --
@@ -894,22 +856,17 @@ class MultiWorkcellCoordinator:
         """
         if not jobs:
             return deque()
-        if hint_arity >= 2 and active:
-            per_shard: List[List[float]] = []
-            for shard in active:
-                table = shard.engine.workcell.durations
-                predictions = [float(duration_hint(job, table)) for job in jobs]
-                mean = sum(predictions) / len(predictions)
-                if mean > 0:
-                    per_shard.append([p / mean for p in predictions])
-            if per_shard:
-                keys = [
-                    sum(column) / len(per_shard) for column in zip(*per_shard)
-                ]
-            else:
-                keys = [0.0] * len(jobs)
+        per_shard: List[List[float]] = []
+        for shard in active:
+            table = shard.engine.workcell.durations
+            predictions = [float(duration_hint(job, table)) for job in jobs]
+            mean = sum(predictions) / len(predictions)
+            if mean > 0:
+                per_shard.append([p / mean for p in predictions])
+        if per_shard:
+            keys = [sum(column) / len(per_shard) for column in zip(*per_shard)]
         else:
-            keys = [float(duration_hint(job)) for job in jobs]
+            keys = [0.0] * len(jobs)
         return deque(sorted(enumerate(jobs), key=lambda item: -keys[item[0]]))
 
     def _live_competitors(

@@ -1,16 +1,18 @@
-"""The workflow execution engine.
+"""Workflow run results, errors and the retrying command submission.
 
 "Workflow steps are translated into commands sent to computers connected to
 devices, which then call driver functions specific to their attached device"
-(paper Section 2.2).  In this reproduction the engine resolves each step's
-module and action, substitutes payload references into the arguments, invokes
-the simulated driver, and records a :class:`StepResult` with start/end times
-and durations -- the same information the paper saves to a per-run file.
+(paper Section 2.2).  The one executor,
+:class:`~repro.wei.concurrent.ConcurrentWorkflowEngine`, resolves each step's
+module and action, substitutes payload references into the arguments,
+submits the command through :func:`attempt_submission` and records a
+:class:`StepResult` with start/end times and durations -- the same
+information the paper saves to a per-run file.
 
 Transient command failures (from the fault injector) are retried up to a
-configurable limit; unrecoverable failures abort the workflow, which is what
-requires human intervention on the real workcell and therefore ends the
-time-without-humans (TWH) clock.
+configurable limit; unrecoverable failures abort the workflow with a
+:class:`WorkflowError`, which is what requires human intervention on the real
+workcell and therefore ends the time-without-humans (TWH) clock.
 """
 
 from __future__ import annotations
@@ -20,16 +22,12 @@ from typing import Any, Dict, List, Mapping, Optional
 
 from repro.sim.faults import CommandFailure
 from repro.wei.module import ActionInvocation, ActionSubmission, Module
-from repro.wei.runlog import RunLogger
-from repro.wei.workcell import Workcell
-from repro.wei.workflow import WorkflowSpec, WorkflowStep, resolve_payload_references
+from repro.wei.workflow import WorkflowStep
 
 __all__ = [
     "WorkflowError",
     "StepResult",
     "WorkflowRunResult",
-    "WorkflowEngine",
-    "attempt_invocation",
     "attempt_submission",
 ]
 
@@ -153,8 +151,7 @@ def attempt_submission(
     loop happens in phase one; the returned submission's mutations are still
     pending.  Returns ``(submission, retries, last_error)`` where
     ``submission`` is ``None`` when the command failed for good
-    (unrecoverable, or retries exhausted).  Shared by the sequential and
-    concurrent engines so both have identical retry semantics.
+    (unrecoverable, or retries exhausted).
     """
     retries = 0
     last_error: Optional[str] = None
@@ -172,139 +169,8 @@ def attempt_submission(
     return submission, retries, last_error
 
 
-def attempt_invocation(
-    module: Module,
-    action: str,
-    args: Mapping[str, Any],
-    max_retries: int,
-) -> tuple:
-    """Invoke ``module.action`` synchronously, retrying recoverable failures.
-
-    The sequential counterpart of :func:`attempt_submission`: the submission
-    is completed on the spot, so state mutations land immediately.  Returns
-    ``(invocation, retries, last_error)`` with ``invocation`` ``None`` when
-    the command failed for good.
-    """
-    submission, retries, last_error = attempt_submission(module, action, args, max_retries)
-    invocation: Optional[ActionInvocation] = None
-    if submission is not None:
-        invocation = submission.complete()
-    return invocation, retries, last_error
-
-
 def robotic_command_count(invocation: Optional[ActionInvocation]) -> int:
     """Successful robotic commands issued by ``invocation`` (0 when failed)."""
     if invocation is None:
         return 0
     return sum(1 for record in invocation.records if record.success and record.robotic)
-
-
-class WorkflowEngine:
-    """Executes :class:`WorkflowSpec` objects against a :class:`Workcell`."""
-
-    def __init__(
-        self,
-        workcell: Workcell,
-        *,
-        max_retries: int = 2,
-        run_logger: Optional[RunLogger] = None,
-    ):
-        if max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, got {max_retries}")
-        self.workcell = workcell
-        self.max_retries = max_retries
-        self.run_logger = run_logger if run_logger is not None else RunLogger()
-        self.runs_completed = 0
-        self.runs_failed = 0
-
-    # ------------------------------------------------------------------
-    # Execution
-    # ------------------------------------------------------------------
-    def run_workflow(
-        self,
-        spec: WorkflowSpec,
-        payload: Optional[Mapping[str, Any]] = None,
-    ) -> WorkflowRunResult:
-        """Run every step of ``spec`` in order and return the run result.
-
-        Raises :class:`WorkflowError` when a step exhausts its retries or an
-        unrecoverable failure occurs; the partial run is still recorded in the
-        run logger so failed experiments remain analysable.
-        """
-        payload = dict(payload or {})
-        clock = self.workcell.clock
-        start_time = clock.now()
-        result = WorkflowRunResult(
-            workflow_name=spec.name,
-            start_time=start_time,
-            end_time=start_time,
-            payload_keys=sorted(payload),
-        )
-
-        try:
-            for index, step in enumerate(spec.steps):
-                step_result = self._run_step(spec, index, step, payload)
-                result.steps.append(step_result)
-                if not step_result.success:
-                    result.success = False
-                    raise WorkflowError(
-                        f"workflow {spec.name!r} failed at step {index} "
-                        f"({step.module}.{step.action}): {step_result.error}",
-                        step=step,
-                    )
-        except WorkflowError as exc:
-            exc.run_result = result
-            raise
-        finally:
-            result.end_time = clock.now()
-            self.run_logger.record_run(result)
-            if result.success:
-                self.runs_completed += 1
-            else:
-                self.runs_failed += 1
-        return result
-
-    def _run_step(
-        self,
-        spec: WorkflowSpec,
-        index: int,
-        step: WorkflowStep,
-        payload: Mapping[str, Any],
-    ) -> StepResult:
-        module = self.workcell.module(step.module)
-        try:
-            args = resolve_payload_references(dict(step.args), payload)
-        except KeyError as exc:
-            raise WorkflowError(
-                f"workflow {spec.name!r} step {index}: {exc}", step=step
-            ) from exc
-
-        clock = self.workcell.clock
-        start = clock.now()
-        invocation, retries, last_error = attempt_invocation(
-            module, step.action, args, self.max_retries
-        )
-        end = clock.now()
-        if invocation is None:
-            return StepResult(
-                step_name=f"{spec.name}.{index}",
-                module=step.module,
-                action=step.action,
-                start_time=start,
-                end_time=end,
-                success=False,
-                retries=retries,
-                error=last_error or "command failed",
-            )
-        return StepResult(
-            step_name=f"{spec.name}.{index}",
-            module=step.module,
-            action=step.action,
-            start_time=start,
-            end_time=end,
-            success=True,
-            retries=retries,
-            return_value=invocation.return_value,
-            commands=invocation.commands,
-            robotic_commands=robotic_command_count(invocation),
-        )

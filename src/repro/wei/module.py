@@ -12,7 +12,7 @@ Actions follow the two-phase lifecycle of the hardware layer:
 and logging its records) and returns an :class:`ActionSubmission` whose
 :meth:`~ActionSubmission.complete` applies the state mutations and produces
 the :class:`ActionInvocation`.  :meth:`Module.invoke` is submit-then-complete
-in one call, preserving the synchronous API for sequential execution.
+in one call, the synchronous API for direct callers.
 """
 
 from __future__ import annotations
@@ -233,8 +233,8 @@ class Module:
     def invoke(self, action: str, **kwargs: Any) -> ActionInvocation:
         """Invoke ``action`` with keyword arguments and return its outcome.
 
-        Submit-then-complete in one call: the synchronous path used by the
-        sequential engine and direct callers.
+        Submit-then-complete in one call: the synchronous path for direct
+        callers.
         """
         return self.submit(action, **kwargs).complete()
 

@@ -10,6 +10,7 @@ JSON file per run to a directory, mirroring the paper's behaviour.
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Dict, List, Optional
 
@@ -39,7 +40,13 @@ class RunLogger:
     # Recording
     # ------------------------------------------------------------------
     def record_run(self, run: "WorkflowRunResult") -> None:
-        """Store one workflow run (and write its JSON file when configured)."""
+        """Store one workflow run (and write its JSON file when configured).
+
+        The log keeps the run's timing record, not its step return values:
+        plates and camera frames belong to the caller, and a long-lived
+        engine's log would otherwise hold every frame it ever captured.
+        """
+        run = replace(run, steps=[replace(step, return_value=None) for step in run.steps])
         self.runs.append(run)
         if self.directory is not None:
             path = self.directory / f"{len(self.runs):05d}_{run.workflow_name}.json"

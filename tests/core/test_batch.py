@@ -62,9 +62,17 @@ class TestValidation:
         sweep = run_batch_sweep(batch_sizes=(4,), n_samples=8, seed=3, solver="random")
         assert sweep.experiments[4].config.solver == "random"
 
-    def test_lookahead_assignment_rejected(self):
-        with pytest.raises(ValueError, match="run_campaign"):
-            run_batch_sweep(batch_sizes=(2, 4), n_samples=8, n_ot2=2, assignment="lookahead")
+    def test_lookahead_assignment_runs_sweeps(self):
+        """Sweeps go through the coordinator, so online re-ranking works
+        there too -- with the same science as plain work stealing."""
+        shared = dict(batch_sizes=(2, 4), n_samples=8, seed=5, n_ot2=2)
+        lookahead = run_batch_sweep(assignment="lookahead", **shared)
+        stealing = run_batch_sweep(**shared)
+        for size in (2, 4):
+            np.testing.assert_allclose(
+                lookahead.experiments[size].scores(), stealing.experiments[size].scores()
+            )
+        assert lookahead.makespan_s > 0
 
 
 class TestLptUsesActualDurations:
@@ -75,9 +83,9 @@ class TestLptUsesActualDurations:
         seen = []
         real = batch_module.predict_experiment_duration
 
-        def spy(config, **kwargs):
-            seen.append(kwargs.get("durations"))
-            return real(config, **kwargs)
+        def spy(config, durations=None):
+            seen.append(durations)
+            return real(config, durations)
 
         monkeypatch.setattr(batch_module, "predict_experiment_duration", spy)
         table = paper_calibrated_durations(jitter_cv=0.0).scaled({"ot2": 2.0})

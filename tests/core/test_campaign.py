@@ -13,7 +13,7 @@ from repro.publish.portal import DataPortal
 from repro.sim.durations import paper_calibrated_durations
 from repro.wei.chaos.soak import campaign_fingerprint
 from repro.wei.concurrent import ConcurrentWorkflowEngine
-from repro.wei.coordinator import MultiWorkcellCoordinator
+from repro.wei.coordinator import MultiWorkcellCoordinator, ShardAssignment
 from repro.wei.workcell import build_color_picker_workcell
 
 
@@ -259,15 +259,19 @@ class TestStreamingElasticCampaign:
         runs = portal.get_experiment("elastic").runs
         assert [run.run_index for run in runs] == list(range(self.N_RUNS))
 
-    def test_sequential_campaign_fires_completion_hook(self):
-        seen = []
-        run_campaign(
-            n_runs=2,
-            samples_per_run=3,
-            seed=5,
-            experiment_id="seq-hook",
-            on_run_complete=lambda completion: seen.append(
-                (completion.job_index, completion.assignment)
-            ),
-        )
-        assert seen == [(0, None), (1, None)]
+    def test_default_campaign_completions_carry_placement(self):
+        """Regression: the default one-workcell campaign used to fire
+        ``on_run_complete`` with ``assignment=None`` and publish records
+        without workcell/lane tags, so fleet listeners raised on it."""
+        portal = DataPortal()
+        completions = []
+        campaign = run_campaign(3, 2, portal=portal, on_run_complete=completions.append)
+        assert [completion.job_index for completion in completions] == [0, 1, 2]
+        for completion in completions:
+            assert isinstance(completion.assignment, ShardAssignment)
+            assert completion.assignment.workcell == "rpl_colorpicker"
+            assert completion.assignment.lane == ("ot2", "barty")
+        assert campaign.assignments == [completion.assignment for completion in completions]
+        for record in portal.search(experiment_id=campaign.experiment_id):
+            assert record.metadata["workcell"] == "rpl_colorpicker"
+            assert record.metadata["lane"] == ["ot2", "barty"]

@@ -252,4 +252,4 @@ class TestCliNOt2:
             == 0
         )
         out = capsys.readouterr().out
-        assert "Concurrent sweep on 2 OT-2 lanes" in out
+        assert "Sweep on 2 OT-2 lane(s): makespan" in out

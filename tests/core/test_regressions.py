@@ -13,17 +13,16 @@ from repro.core.experiment import ExperimentConfig
 from repro.core.protocol import build_mix_protocol
 from repro.hardware.labware import TipRack
 from repro.publish.portal import DataPortal
+from repro.wei.concurrent import ConcurrentWorkflowEngine
 from repro.wei.workcell import build_color_picker_workcell
 
 
 def drive(app, generator):
-    """Run one of the app's program fragments against the sequential engine."""
-    value = None
-    try:
-        while True:
-            value = app._execute_sequential(generator.send(value))
-    except StopIteration as stop:
-        return stop.value
+    """Run one of the app's program fragments to completion on its workcell."""
+    engine = ConcurrentWorkflowEngine(app.workcell)
+    handle = engine.submit_program(generator)
+    engine.run_until_complete()
+    return handle.result
 
 
 class TestReplenishSingleFire:
@@ -113,3 +112,24 @@ class TestPublishRunIndex:
         detail = portal.detail_view("run-b")
         assert detail["run_index"] == 1
         assert detail["n_samples"] == 4
+
+
+class TestBarcodesFollowTheSeed:
+    """Regression: plate barcodes came from one process-wide counter, so the
+    published ``plate_barcode`` of a seeded run depended on what ran before
+    it in the same process."""
+
+    @staticmethod
+    def published_barcodes():
+        app = ColorPickerApp(ExperimentConfig(n_samples=4, batch_size=4, seed=3))
+        app.run()
+        return [
+            sample.plate_barcode
+            for record in app.portal.search()
+            for sample in record.samples
+        ]
+
+    def test_identical_runs_publish_identical_barcodes(self):
+        first = self.published_barcodes()
+        second = self.published_barcodes()
+        assert first == second == ["sciclops-t0-0001"] * 4

@@ -178,6 +178,13 @@ class TestPlateStack:
         assert stack.remaining == 1
         assert plates[0].barcode != plates[1].barcode
 
+    def test_barcodes_number_each_stack_from_one(self):
+        """Regression: the barcode counter was shared by every stack in the
+        process, so a tower's barcodes depended on unrelated earlier work."""
+        first = PlateStack(capacity=2, prefix="tower")
+        assert [first.pop().barcode, first.pop().barcode] == ["tower-0001", "tower-0002"]
+        assert PlateStack(capacity=1, prefix="tower").pop().barcode == "tower-0001"
+
     def test_empty_stack_rejected(self):
         stack = PlateStack(capacity=1)
         stack.pop()

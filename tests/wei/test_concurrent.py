@@ -1,12 +1,15 @@
 """Tests for the event-driven concurrent workflow engine."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.core.protocol import build_mix_protocol
 from repro.hardware.labware import Plate
 from repro.sim.faults import FaultPolicy
 from repro.wei.concurrent import ConcurrencyError, ConcurrentWorkflowEngine
-from repro.wei.engine import WorkflowEngine, WorkflowError
+from repro.wei.engine import WorkflowError
 from repro.wei.workflow import WorkflowSpec
 
 
@@ -55,14 +58,13 @@ class TestConcurrentExecution:
                 payloads.append({"protocol": protocol_for(workcell, 8, start=8 * (index // len(lanes)))})
             for ot2 in lanes:
                 stage_lane(workcell, ot2)
+            engine = ConcurrentWorkflowEngine(workcell)
             if concurrent:
-                engine = ConcurrentWorkflowEngine(workcell)
                 results = engine.run_all(specs, payloads)
-                return engine.makespan, results
-            engine = WorkflowEngine(workcell)
-            start = workcell.clock.now()
-            results = [engine.run_workflow(s, payload=p) for s, p in zip(specs, payloads)]
-            return workcell.clock.now() - start, results
+            else:
+                # Baseline: the same specs one at a time through the engine.
+                results = [engine.run_all([s], [p])[0] for s, p in zip(specs, payloads)]
+            return engine.makespan, results
 
         sequential_makespan, _ = run(2, concurrent=False)
         concurrent_makespan, results = run(2, concurrent=True)
@@ -196,6 +198,26 @@ class TestPrograms:
         assert handle.success
         assert handle.result == (True, "pf400")
         assert engine.makespan > 30.0
+
+    def test_finished_program_workflows_are_not_retained(self, make_workcell):
+        """A long-lived engine (a campaign's workcell) must not keep every
+        workflow result -- and the camera frame in it -- its programs ever
+        requested; its run log keeps the timing record only."""
+        workcell = make_workcell(seed=9)
+        engine = ConcurrentWorkflowEngine(workcell)
+        results = []
+
+        def program():
+            spec = WorkflowSpec(name="fetch").add_step("sciclops", "get_plate")
+            result = yield ("workflow", spec, None)
+            results.append(weakref.ref(result))
+
+        engine.submit_program(program())
+        engine.run_until_complete()
+        gc.collect()
+        assert results[0]() is None
+        assert engine.run_logger.runs[0].steps[0].action == "get_plate"
+        assert engine.run_logger.runs[0].steps[0].return_value is None
 
     def test_workflow_failure_is_thrown_into_program(self, make_workcell):
         workcell = make_workcell(

@@ -2,10 +2,6 @@
 
 import pytest
 
-from repro.wei.concurrent import (
-    run_programs_on_lanes,
-    run_programs_work_stealing,
-)
 from repro.sim.durations import paper_calibrated_durations
 from repro.wei.coordinator import MultiWorkcellCoordinator
 from repro.wei.engine import WorkflowError
@@ -44,42 +40,47 @@ SKEWED = [100.0, 1.0, 1.0, 1.0, 1.0, 1.0]
 
 
 class TestWorkStealingLanes(FactoryFixtures):
+    """Several lanes on one workcell, all claiming through the coordinator."""
+
+    def run_lanes(self, durations, n_lanes, assignment="work-stealing", markers=None):
+        coordinator = MultiWorkcellCoordinator([self.fresh_engine()])
+        markers = markers if markers is not None else [None] * len(durations)
+        results = coordinator.run_jobs(
+            list(zip(durations, markers)),
+            lambda job, _shard, _lane: sleeper(*job),
+            lanes=[list(range(n_lanes))],
+            assignment=assignment,
+        )
+        return coordinator, results
+
     def test_beats_static_pinning_on_skewed_durations(self):
-        static_engine = self.fresh_engine()
-        run_programs_on_lanes(static_engine, [sleeper(d) for d in SKEWED], n_lanes=2)
-        stealing_engine = self.fresh_engine()
-        run_programs_work_stealing(stealing_engine, [sleeper(d) for d in SKEWED], n_lanes=2)
-        assert stealing_engine.makespan <= static_engine.makespan
-        assert stealing_engine.makespan == pytest.approx(100.0)
-        assert static_engine.makespan == pytest.approx(102.0)
+        static, _ = self.run_lanes(SKEWED, 2, assignment="static")
+        stealing, _ = self.run_lanes(SKEWED, 2)
+        assert stealing.makespan <= static.makespan
+        assert stealing.makespan == pytest.approx(100.0)
+        assert static.makespan == pytest.approx(102.0)
 
     def test_every_job_lands_exactly_once_in_order(self):
-        engine = self.fresh_engine()
         markers = [f"job-{i}" for i in range(len(SKEWED))]
-        results = run_programs_work_stealing(
-            engine,
-            [sleeper(d, marker) for d, marker in zip(SKEWED, markers)],
-            n_lanes=2,
-        )
+        _, results = self.run_lanes(SKEWED, 2, markers=markers)
         assert results == markers  # in submission order, none dropped or doubled
 
     def test_more_lanes_than_jobs(self):
-        engine = self.fresh_engine()
-        results = run_programs_work_stealing(engine, [sleeper(5.0)], n_lanes=3)
+        _, results = self.run_lanes([5.0], 3)
         assert results == [5.0]
 
     def test_rejects_zero_lanes(self):
         with pytest.raises(ValueError):
-            run_programs_work_stealing(self.fresh_engine(), [sleeper(1.0)], n_lanes=0)
+            self.run_lanes([1.0], 0)
 
     def test_program_error_propagates(self):
-        def doomed():
+        def doomed(_job, _shard, _lane):
             yield ("sleep", 1.0)
             raise WorkflowError("boom")
 
-        engine = self.fresh_engine()
+        coordinator = MultiWorkcellCoordinator([self.fresh_engine()])
         with pytest.raises(WorkflowError, match="boom"):
-            run_programs_work_stealing(engine, [doomed()], n_lanes=1)
+            coordinator.run_jobs([None], doomed)
 
 
 class TestCoordinator(FactoryFixtures):
@@ -173,7 +174,7 @@ class TestLptOrdering(FactoryFixtures):
             list(self.SHORT_FIRST),
             lambda duration, shard, lane: sleeper(duration),
             assignment=assignment,
-            duration_hint=lambda duration: duration,
+            duration_hint=lambda duration, _durations: duration,
         )
         return coordinator, results, completion_times
 
@@ -214,7 +215,7 @@ class TestLptOrdering(FactoryFixtures):
             [("a", 5.0), ("b", 5.0), ("c", 5.0)],
             lambda job, shard, lane: sleeper(job[1], marker=job[0]),
             assignment="stealing-lpt",
-            duration_hint=lambda job: job[1],
+            duration_hint=lambda job, _durations: job[1],
         )
         assert results == ["a", "b", "c"]
 
@@ -233,7 +234,7 @@ def job_cost(job, table):
 
 
 class TestLaneAwareLpt(FactoryFixtures):
-    """stealing-lpt with a two-argument hint ranks by each lane's own table.
+    """stealing-lpt ranks by each lane's own table.
 
     Both shards run with pf400 sped up 8x, so transfers that the default
     paper table ranks as the longest jobs (10 x 40 s = 400 s) actually take
@@ -257,7 +258,7 @@ class TestLaneAwareLpt(FactoryFixtures):
 
     def test_lane_aware_hint_beats_speed_blind_hint(self):
         paper = paper_calibrated_durations()
-        blind = self.run_fleet(lambda job: job_cost(job, paper))
+        blind = self.run_fleet(lambda job, _table: job_cost(job, paper))
         aware = self.run_fleet(lambda job, table: job_cost(job, table))
         # Blind order [T, T, T, O]: the OT-2 job starts only at t=50 and
         # finishes at 338.  Lane-aware order [O, T, T, T]: it starts at t=0.
@@ -286,7 +287,7 @@ class TestLookahead(FactoryFixtures):
 
     def test_lookahead_beats_speed_blind_lpt_on_skewed_fleet(self):
         paper = paper_calibrated_durations()
-        blind = self.run_fleet("stealing-lpt", lambda job: job_cost(job, paper))
+        blind = self.run_fleet("stealing-lpt", lambda job, _table: job_cost(job, paper))
         lookahead = self.run_fleet("lookahead", lambda job, table: job_cost(job, table))
         # Speed-blind LPT hands the longest job to whichever lane claims
         # first (shard 0, the slow one); lookahead defers the slow lane and
@@ -309,7 +310,7 @@ class TestLookahead(FactoryFixtures):
             [20.0] * 8,
             lambda duration, shard, lane: sleeper(duration),
             assignment="lookahead",
-            duration_hint=lambda duration: duration / 2.0,
+            duration_hint=lambda duration, _durations: duration / 2.0,
         )
         drifts = [shard.predictor_drift for shard in coordinator.status().shards]
         assert all(drift == pytest.approx(2.0) for drift in drifts)

@@ -1,16 +1,26 @@
-"""Tests for the workflow execution engine."""
+"""Tests for running single workflows: step timing, payloads, retries, logging.
+
+Each workflow runs alone through :meth:`ConcurrentWorkflowEngine.run_all`,
+the one executor every run, sweep and campaign goes through.
+"""
 
 import pytest
 
 from repro.sim.faults import FaultPolicy
-from repro.wei.engine import WorkflowEngine, WorkflowError
+from repro.wei.concurrent import ConcurrentWorkflowEngine
+from repro.wei.engine import WorkflowError
 from repro.wei.workcell import build_color_picker_workcell
 from repro.wei.workflow import WorkflowSpec
 
 
 @pytest.fixture
 def engine(workcell):
-    return WorkflowEngine(workcell)
+    return ConcurrentWorkflowEngine(workcell)
+
+
+def run_workflow(engine, spec, payload=None):
+    """Run one workflow to completion and return its result."""
+    return engine.run_all([spec], [payload])[0]
 
 
 def newplate_spec():
@@ -22,7 +32,7 @@ def newplate_spec():
 
 class TestRunWorkflow:
     def test_steps_run_in_order_with_timing(self, engine, workcell):
-        result = engine.run_workflow(newplate_spec())
+        result = run_workflow(engine, newplate_spec())
         assert result.success
         assert [step.action for step in result.steps] == ["get_plate", "transfer"]
         assert result.duration > 0
@@ -34,7 +44,7 @@ class TestRunWorkflow:
         workcell.module("sciclops").invoke("get_plate")
         spec = WorkflowSpec(name="move")
         spec.add_step("pf400", "transfer", source="$payload.src", target="$payload.dst")
-        result = engine.run_workflow(spec, payload={"src": "sciclops.exchange", "dst": "camera.stage"})
+        result = run_workflow(engine, spec, {"src": "sciclops.exchange", "dst": "camera.stage"})
         assert result.success
         assert workcell.deck.is_occupied("camera.stage")
 
@@ -42,22 +52,22 @@ class TestRunWorkflow:
         spec = WorkflowSpec(name="move")
         spec.add_step("pf400", "transfer", source="$payload.src", target="camera.stage")
         with pytest.raises(WorkflowError):
-            engine.run_workflow(spec, payload={})
+            run_workflow(engine, spec, {})
 
     def test_unknown_module_raises(self, engine):
         spec = WorkflowSpec(name="bad").add_step("pcr", "run")
         with pytest.raises(Exception):
-            engine.run_workflow(spec)
+            run_workflow(engine, spec)
 
     def test_runs_are_logged(self, engine):
-        engine.run_workflow(newplate_spec())
-        engine.run_workflow(WorkflowSpec(name="status").add_step("sciclops", "status"))
+        run_workflow(engine, newplate_spec())
+        run_workflow(engine, WorkflowSpec(name="status").add_step("sciclops", "status"))
         assert engine.run_logger.n_runs == 2
         assert engine.run_logger.workflow_counts() == {"newplate": 1, "status": 1}
         assert engine.runs_completed == 2
 
     def test_step_values_accessible_by_key(self, engine):
-        result = engine.run_workflow(newplate_spec())
+        result = run_workflow(engine, newplate_spec())
         values = result.step_values()
         assert "sciclops.get_plate" in values
         assert values["sciclops.get_plate"].barcode.startswith("sciclops")
@@ -72,7 +82,7 @@ class TestStepValuesRepeatedSteps:
         spec.add_step("sciclops", "status")
         spec.add_step("sciclops", "get_plate")
         spec.add_step("sciclops", "status")
-        result = engine.run_workflow(spec)
+        result = run_workflow(engine, spec)
         values = result.step_values()
         before = values["sciclops.status#1"].details["plates_remaining"]
         after = values["sciclops.status#2"].details["plates_remaining"]
@@ -84,7 +94,7 @@ class TestStepValuesRepeatedSteps:
         spec = WorkflowSpec(name="repeat")
         for _ in range(3):
             spec.add_step("sciclops", "status")
-        values = engine.run_workflow(spec).step_values()
+        values = run_workflow(engine, spec).step_values()
         assert {"sciclops.status", "sciclops.status#1", "sciclops.status#2", "sciclops.status#3"} <= set(values)
 
 
@@ -93,11 +103,11 @@ class TestFailureHandling:
         workcell = build_color_picker_workcell(
             seed=3, fault_policy=FaultPolicy(command_failure={"sciclops": 0.45}, unrecoverable_fraction=0.0)
         )
-        engine = WorkflowEngine(workcell, max_retries=25)
+        engine = ConcurrentWorkflowEngine(workcell, max_retries=25)
         spec = WorkflowSpec(name="stubborn")
         for _ in range(5):
             spec.add_step("sciclops", "status")
-        result = engine.run_workflow(spec)
+        result = run_workflow(engine, spec)
         assert result.success
         assert sum(step.retries for step in result.steps) > 0
 
@@ -105,9 +115,9 @@ class TestFailureHandling:
         workcell = build_color_picker_workcell(
             seed=3, fault_policy=FaultPolicy(command_failure={"sciclops": 1.0}, unrecoverable_fraction=0.0)
         )
-        engine = WorkflowEngine(workcell, max_retries=2)
+        engine = ConcurrentWorkflowEngine(workcell, max_retries=2)
         with pytest.raises(WorkflowError):
-            engine.run_workflow(WorkflowSpec(name="doomed").add_step("sciclops", "status"))
+            run_workflow(engine, WorkflowSpec(name="doomed").add_step("sciclops", "status"))
         assert engine.runs_failed == 1
         # The failed run is still recorded for post-hoc analysis.
         assert engine.run_logger.n_runs == 1
@@ -117,12 +127,12 @@ class TestFailureHandling:
         workcell = build_color_picker_workcell(
             seed=3, fault_policy=FaultPolicy(command_failure={"pf400": 1.0}, unrecoverable_fraction=0.0)
         )
-        engine = WorkflowEngine(workcell, max_retries=0)
+        engine = ConcurrentWorkflowEngine(workcell, max_retries=0)
         spec = WorkflowSpec(name="partial")
         spec.add_step("sciclops", "status")
         spec.add_step("pf400", "move_home")
         with pytest.raises(WorkflowError) as excinfo:
-            engine.run_workflow(spec)
+            run_workflow(engine, spec)
         partial = excinfo.value.run_result
         assert partial is not None and not partial.success
         # The successful prefix step is still accounted in the partial result.
@@ -130,12 +140,12 @@ class TestFailureHandling:
 
     def test_negative_retries_rejected(self, workcell):
         with pytest.raises(ValueError):
-            WorkflowEngine(workcell, max_retries=-1)
+            ConcurrentWorkflowEngine(workcell, max_retries=-1)
 
 
 class TestRunResultSerialisation:
     def test_to_dict_round_trips_key_fields(self, engine):
-        result = engine.run_workflow(newplate_spec())
+        result = run_workflow(engine, newplate_spec())
         data = result.to_dict()
         assert data["workflow_name"] == "newplate"
         assert len(data["steps"]) == 2
