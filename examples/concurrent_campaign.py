@@ -4,13 +4,13 @@
 The paper proposes "integrating additional OT2s in our workflow, so that
 multiple plates of colors could be mixed at once.  This would lead to an
 increase in CCWH, but potentially a lower TWH for the same experimental
-results."  This example runs the *same* campaign twice -- once with the
-sequential engine (one OT-2, runs back to back) and once with the
-event-driven concurrent engine interleaving the runs over two OT-2/barty
-lanes -- and compares the outcome with the offline resource-timeline planner.
+results."  This example runs the *same* campaign twice -- once on one
+OT-2 lane (runs back to back) and once with the event-driven engine
+interleaving the runs over two OT-2/barty lanes -- and compares the outcome
+with the offline resource-timeline planner.
 
 Because the runs use the same seeds, the solvers propose identical batches
-and reach identical scores under both engines; only the simulated wall time
+and reach identical scores on both fleets; only the simulated wall time
 differs, which is exactly the TWH-vs-CCWH trade-off the paper describes.
 
 Run with:  python examples/concurrent_campaign.py
@@ -33,7 +33,7 @@ SEED = 2023
 def main() -> None:
     print(f"Campaign: {N_RUNS} runs x {SAMPLES_PER_RUN} samples, batch size {BATCH_SIZE}\n")
 
-    print("Sequential engine (1 OT-2, runs back to back)...")
+    print("One OT-2 lane (runs back to back)...")
     sequential = run_campaign(
         n_runs=N_RUNS,
         samples_per_run=SAMPLES_PER_RUN,

@@ -14,7 +14,7 @@ two-workcell fleet and, while it is in flight,
 Run records *stream* into the data portal as each shard completes a run
 (original run_index, workcell/lane tags preserved), so the portal is fully
 populated the moment the campaign returns -- and, with direct measurement,
-the per-run scores are identical to a sequential campaign with the same seed
+the per-run scores are identical to a one-workcell campaign with the same seed
 no matter how the fleet was reshaped.
 
 Run with:  python examples/elastic_fleet.py
