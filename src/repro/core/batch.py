@@ -18,7 +18,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.app import ColorPickerApp
-from repro.core.campaign import predict_experiment_duration
+from repro.core.campaign import predict_experiment_duration, workcell_consumables
 from repro.core.experiment import ExperimentConfig, ExperimentResult
 from repro.publish.portal import DataPortal
 from repro.sim.durations import DurationTable
@@ -109,6 +109,8 @@ def run_batch_sweep(
     solver behaviour and scores depend only on the seed, whatever the lane
     count or policy; in ``"vision"`` mode the shared camera's noise stream
     is consumed in execution order, so scores depend on the interleaving.
+    The workcell is stocked with enough plates and dye for every experiment
+    (:func:`~repro.core.campaign.workcell_consumables`).
     """
     if not batch_sizes:
         raise ValueError("batch_sizes must not be empty")
@@ -139,7 +141,12 @@ def run_batch_sweep(
             **overrides,
         )
 
-    workcell = build_color_picker_workcell(seed=seed, n_ot2=n_ot2, durations=durations)
+    workcell = build_color_picker_workcell(
+        seed=seed,
+        n_ot2=n_ot2,
+        durations=durations,
+        **workcell_consumables(list(configs.values())),
+    )
     coordinator = MultiWorkcellCoordinator([ConcurrentWorkflowEngine(workcell)])
 
     def make_program(config: ExperimentConfig, _shard: int, lane: tuple):

@@ -58,6 +58,7 @@ __all__ = [
     "TransportReport",
     "predict_experiment_duration",
     "run_campaign",
+    "workcell_consumables",
 ]
 
 #: Execution modes understood by :func:`run_campaign` (and the CLI):
@@ -125,7 +126,7 @@ class CampaignResult:
     #: Per-shard makespans when ``n_workcells > 1`` (empty otherwise).
     workcell_makespans: List[float] = field(default_factory=list)
     #: Which shard/lane executed each run, in run order.
-    assignments: List[Optional[ShardAssignment]] = field(default_factory=list)
+    assignments: List[ShardAssignment] = field(default_factory=list)
     #: Execution mode the campaign ran under (``"sim"`` or ``"paced"``).
     transport: str = "sim"
     #: Transport-layer report for transport campaigns: completion counts,
@@ -167,6 +168,14 @@ class CampaignResult:
 #: plate (the CMYK set every colour-picker workcell mounts).
 _PLATE_CAPACITY = 96
 _N_DYES = 4
+
+#: The paper bench's consumables, :func:`build_color_picker_workcell`'s
+#: defaults: sciclops towers and plates per tower, and the µl of each dye in
+#: an OT-2 reservoir and in a barty bulk vessel.
+_TOWERS = 2
+_BENCH_PLATES_PER_TOWER = 20
+_RESERVOIR_UL = 20_000.0
+_BENCH_BULK_UL = 500_000.0
 
 
 def predict_experiment_duration(
@@ -228,6 +237,51 @@ def predict_experiment_duration(
         if config.publish:
             total += table.mean("publish", "upload")
     return total
+
+
+def _plates_needed(config: ExperimentConfig) -> int:
+    """Plates one experiment takes from the sciclops when nothing fails.
+
+    Mirrors :meth:`ColorPickerApp.program`'s "Check: New Plate": a fresh
+    plate whenever the next batch does not fit in the active one.
+    """
+    plates, free = 0, 0
+    remaining = config.n_samples
+    while remaining:
+        batch = min(config.batch_size, remaining)
+        if free < batch:
+            plates, free = plates + 1, _PLATE_CAPACITY
+        free -= batch
+        remaining -= batch
+    return plates
+
+
+def workcell_consumables(configs: Sequence[ExperimentConfig]) -> Dict[str, Any]:
+    """:func:`build_color_picker_workcell` sizing for a workcell that may run every config.
+
+    Campaigns and sweeps run all their experiments on the workcells they
+    build and nothing restocks those, so the builders size the sciclops
+    towers and the barty bulk vessels from the jobs.  The bound assumes one
+    lane runs every job.  Per experiment: :func:`_plates_needed` plates,
+    plus two per allowed human intervention (the discarded active plate and
+    one stranded mid-hand-off) and one wasted batch of wells.  Per dye: one
+    full reservoir fill per plate (each trashed plate drains the
+    reservoirs) plus every well's largest component volume.  Sizes never
+    drop below the bench defaults, so short campaigns run on the default
+    workcell.
+    """
+    plates = 0
+    dye_ul = 0.0
+    for config in configs:
+        interventions = config.max_interventions if config.recover_from_failures else 0
+        job_plates = _plates_needed(config) + 2 * interventions
+        wells = config.n_samples + interventions * config.batch_size
+        plates += job_plates
+        dye_ul += job_plates * _RESERVOIR_UL + wells * config.max_component_volume_ul
+    return {
+        "plates_per_tower": max(_BENCH_PLATES_PER_TOWER, math.ceil(plates / _TOWERS)),
+        "bulk_capacity_ul": max(_BENCH_BULK_UL, dye_ul),
+    }
 
 
 def _campaign_config(
@@ -400,7 +454,8 @@ def run_campaign(
     In every mode each run's record streams into the portal the moment the
     run completes (never post-hoc), tagged with the executing workcell and
     lane; the portal therefore holds every record before this function
-    returns.
+    returns.  Workcells built here are stocked with enough plates and dye
+    for every run (:func:`workcell_consumables`).
     """
     if n_runs < 1:
         raise ValueError(f"n_runs must be >= 1, got {n_runs}")
@@ -466,80 +521,16 @@ def run_campaign(
         for run_index in range(n_runs)
     ]
 
-    # The "campaign" span roots every trace: run spans recorded by the
-    # engines (claim→done windows on any shard) attach to it through the
-    # "campaign" binding rather than the thread stack.
-    with obs_tracer.span(
-        "campaign",
-        experiment_id=experiment_id,
-        n_runs=n_runs,
-        samples_per_run=samples_per_run,
-        transport=transport,
-        n_workcells=n_workcells,
-        n_ot2=n_ot2,
-    ) as campaign_span:
-        if campaign_span.span is not None:
-            obs_tracer.bind("campaign", campaign_span.span.span_id)
-        try:
-            return _run_coordinated_campaign(
-                campaign,
-                configs,
-                solver=solver,
-                seed=seed,
-                assignment=assignment,
-                speed_profiles=speed_profiles,
-                coordinator=coordinator,
-                on_run_complete=on_run_complete,
-                speedup=speedup,
-                completion_timeout_s=completion_timeout_s,
-                chaos=chaos,
-            )
-        finally:
-            campaign_span.set_sim(start=0.0, end=campaign.makespan_s)
-            obs_tracer.unbind("campaign")
-
-
-def _run_coordinated_campaign(
-    campaign: CampaignResult,
-    configs: List[ExperimentConfig],
-    *,
-    solver: str,
-    seed: Optional[int],
-    assignment: str,
-    speed_profiles: Optional[tuple] = None,
-    coordinator: Optional[MultiWorkcellCoordinator] = None,
-    on_run_complete: Optional[Callable[[RunCompletion], None]] = None,
-    speedup: float = 1000.0,
-    completion_timeout_s: float = 60.0,
-    chaos: Optional[Any] = None,
-) -> CampaignResult:
-    """Execute a campaign over the lanes of one or more workcells.
-
-    One path serves every campaign: a single-workcell campaign is just a
-    one-shard fleet, so lane assignment, run placement records and portal
-    tagging are identical whichever axis is scaled.  Each run's record is *streamed* into the portal by a coordinator
-    run listener the moment its shard completes it -- shard/lane tags and the
-    original ``run_index`` preserved -- so the portal is complete before
-    ``run_jobs`` returns, and mid-campaign ``attach_workcell`` /
-    ``drain_workcell`` calls from ``on_run_complete`` see live state.
-
-    ``transport="paced"`` builds each shard's engine with its own
-    :class:`~repro.wei.drivers.registry.DriverRegistry` (one paced mock
-    transport covering every module type); ``transport="wire"`` does the
-    same with a framed :class:`~repro.wei.drivers.protocol.WireProtocolTransport`
-    per workcell, all sharing one optional ``chaos`` schedule.  Either way
-    the transports are torn down -- stopping their worker threads -- before
-    returning.
-    """
-    portal = campaign.portal
+    # Paced and wire shards each get their own driver registry; every one is
+    # closed -- stopping its worker threads -- before this function returns.
     registries: List[DriverRegistry] = []
 
     def build_engine(workcell) -> ConcurrentWorkflowEngine:
-        if campaign.transport == "paced":
+        if transport == "paced":
             registry = DriverRegistry.paced(
                 workcell, speedup=speedup, name=f"paced-mock[{workcell.name}]"
             )
-        elif campaign.transport == "wire":
+        elif transport == "wire":
             registry = DriverRegistry.wire(
                 workcell, speedup=speedup, name=f"wire[{workcell.name}]", chaos=chaos
             )
@@ -551,26 +542,26 @@ def _run_coordinated_campaign(
         )
 
     if coordinator is None:
-        if campaign.n_workcells == 1:
+        consumables = workcell_consumables(configs)
+        if n_workcells == 1:
             # A one-shard campaign keeps the default workcell name and seed.
             durations = None
             if speed_profiles is not None:
                 durations = speed_profiles[0].apply(paper_calibrated_durations())
             workcell = build_color_picker_workcell(
-                seed=seed, n_ot2=campaign.n_ot2, durations=durations
+                seed=seed, n_ot2=n_ot2, durations=durations, **consumables
             )
             coordinator = MultiWorkcellCoordinator([build_engine(workcell)])
         else:
             coordinator = MultiWorkcellCoordinator.build_color_picker_fleet(
-                campaign.n_workcells,
+                n_workcells,
                 seed=seed,
-                n_ot2=campaign.n_ot2,
+                n_ot2=n_ot2,
                 engine_factory=build_engine,
                 module_speeds=speed_profiles,
+                **consumables,
             )
-    lanes = [
-        engine.workcell.ot2_barty_pairs()[: campaign.n_ot2] for engine in coordinator.engines
-    ]
+    lanes = [engine.workcell.ot2_barty_pairs()[:n_ot2] for engine in coordinator.engines]
 
     def make_program(config: ExperimentConfig, shard: int, lane: tuple):
         ot2, barty = lane
@@ -585,45 +576,56 @@ def _run_coordinated_campaign(
         return app.program()
 
     def stream_record(completion: RunCompletion) -> None:
-        record = _campaign_record(
-            completion.job, completion.result, solver, completion.job_index
-        )
+        record = _campaign_record(completion.job, completion.result, solver, completion.job_index)
         record.metadata["workcell"] = completion.assignment.workcell
         record.metadata["lane"] = list(completion.assignment.lane)
         # Fires on the coordinator's merged loop while the "campaign" span
         # is the innermost open span there, so it auto-parents to it.
-        with obs_tracer.span(
-            "portal.ingest", run_id=record.run_id, run_index=completion.job_index
-        ):
+        with obs_tracer.span("portal.ingest", run_id=record.run_id, run_index=completion.job_index):
             portal.ingest(record)
 
-    listeners = [coordinator.add_run_listener(stream_record)]
-    if on_run_complete is not None:
-        listeners.append(coordinator.add_run_listener(on_run_complete))
-    wall_start = time.monotonic()
-    try:
-        results = coordinator.run_jobs(
-            configs,
-            make_program,
-            lanes=lanes,
-            assignment=assignment,
-            duration_hint=predict_experiment_duration,
-        )
-    finally:
-        wall_elapsed = time.monotonic() - wall_start
-        for listener in listeners:
-            coordinator.remove_run_listener(listener)
-        for registry in registries:
-            registry.close()
+    # The "campaign" span roots every trace: run spans recorded by the
+    # engines (claim→done windows on any shard) attach to it through the
+    # "campaign" binding rather than the thread stack.
+    with obs_tracer.span(
+        "campaign",
+        experiment_id=experiment_id,
+        n_runs=n_runs,
+        samples_per_run=samples_per_run,
+        transport=transport,
+        n_workcells=n_workcells,
+        n_ot2=n_ot2,
+    ) as campaign_span:
+        if campaign_span.span is not None:
+            obs_tracer.bind("campaign", campaign_span.span.span_id)
+        listeners = [coordinator.add_run_listener(stream_record)]
+        if on_run_complete is not None:
+            listeners.append(coordinator.add_run_listener(on_run_complete))
+        wall_start = time.monotonic()
+        try:
+            results = coordinator.run_jobs(
+                configs,
+                make_program,
+                lanes=lanes,
+                assignment=assignment,
+                duration_hint=predict_experiment_duration,
+            )
+            campaign.makespan_s = coordinator.makespan
+        finally:
+            wall_elapsed = time.monotonic() - wall_start
+            for listener in listeners:
+                coordinator.remove_run_listener(listener)
+            for registry in registries:
+                registry.close()
+            campaign_span.set_sim(start=0.0, end=campaign.makespan_s)
+            obs_tracer.unbind("campaign")
     campaign.assignments = list(coordinator.assignments)
     campaign.runs.extend(results)
     campaign.n_workcells = coordinator.n_workcells
     if campaign.n_workcells > 1:
         campaign.workcell_makespans = coordinator.shard_makespans()
-    campaign.makespan_s = coordinator.makespan
     campaign.transport_stats = _transport_report(coordinator, wall_elapsed)
     return campaign
-
 
 def _transport_report(
     coordinator: MultiWorkcellCoordinator, wall_elapsed_s: float

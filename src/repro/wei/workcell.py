@@ -199,8 +199,9 @@ def build_color_picker_workcell(
     plates_per_tower / bulk_capacity_ul:
         Consumable sizing: plates stocked in each sciclops tower and the µl
         of each dye in barty's bulk vessels.  The defaults match the paper's
-        bench; long campaigns (e.g. the 10k-run routine bench) scale both up
-        so the workcell never runs dry mid-campaign.
+        bench; campaigns and sweeps size both from their jobs
+        (:func:`~repro.core.campaign.workcell_consumables`) so the workcell
+        never runs dry mid-campaign.
     """
     if n_ot2 < 1:
         raise WorkcellConfigError(f"n_ot2 must be >= 1, got {n_ot2}")

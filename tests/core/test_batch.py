@@ -75,6 +75,13 @@ class TestValidation:
         assert lookahead.makespan_s > 0
 
 
+class TestConsumables:
+    def test_sweep_outlasts_the_bench_stock(self):
+        # One plate per 64-well batch: 41 plates on the sweep's one workcell.
+        sweep = run_batch_sweep(batch_sizes=(64,), n_samples=64 * 41, seed=3, solver="random")
+        assert sweep.experiments[64].n_samples == 64 * 41
+
+
 class TestLptUsesActualDurations:
     """Regression: the stealing-lpt ordering must be predicted against the
     table the shared workcell actually runs, not the default calibration."""

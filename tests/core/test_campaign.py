@@ -1,13 +1,19 @@
 """Tests for multi-run campaigns (Figure 3 machinery)."""
 
 import hashlib
+import inspect
 import json
 
 import numpy as np
 import pytest
 
 from repro.core.app import ColorPickerApp
-from repro.core.campaign import predict_experiment_duration, run_campaign
+from repro.core.campaign import (
+    _plates_needed,
+    predict_experiment_duration,
+    run_campaign,
+    workcell_consumables,
+)
 from repro.core.experiment import ExperimentConfig
 from repro.publish.portal import DataPortal
 from repro.sim.durations import paper_calibrated_durations
@@ -80,6 +86,46 @@ class TestCampaignOptions:
             run_campaign(n_runs=0)
         with pytest.raises(ValueError):
             run_campaign(samples_per_run=0)
+
+
+class TestConsumables:
+    """Campaigns run every job on the workcells they build, which nothing
+    restocks, so those workcells are stocked for the whole campaign."""
+
+    def test_default_campaign_outlasts_the_bench_stock(self):
+        # 41 plates: more than the bench's 2 x 20 towers and, at one
+        # reservoir fill per plate, more dye than its 500 ml bulk vessels.
+        campaign = run_campaign(n_runs=41, samples_per_run=1, seed=1, experiment_id="long")
+        assert campaign.n_runs == 41
+        assert campaign.portal.n_runs == 41
+
+    def test_short_campaigns_keep_the_bench_defaults(self):
+        defaults = inspect.signature(build_color_picker_workcell).parameters
+        configs = [ExperimentConfig(n_samples=15, seed=i) for i in range(12)]
+        assert workcell_consumables(configs) == {
+            "plates_per_tower": defaults["plates_per_tower"].default,
+            "bulk_capacity_ul": defaults["bulk_capacity_ul"].default,
+        }
+
+    def test_sizing_scales_with_the_jobs(self):
+        config = ExperimentConfig(n_samples=64 * 50, batch_size=64)
+        sizing = workcell_consumables([config])
+        assert sizing["plates_per_tower"] == 25
+        assert sizing["bulk_capacity_ul"] == 50 * 20_000.0 + 64 * 50 * 80.0
+        recovering = ExperimentConfig(
+            n_samples=64 * 50, batch_size=64, recover_from_failures=True, max_interventions=5
+        )
+        assert workcell_consumables([recovering])["plates_per_tower"] == 30
+
+    @pytest.mark.parametrize("n_samples,batch_size", [(100, 9), (130, 64), (200, 96), (5, 5)])
+    def test_plate_count_matches_the_program(self, n_samples, batch_size):
+        config = ExperimentConfig(
+            n_samples=n_samples, batch_size=batch_size, solver="random", seed=2, publish=False
+        )
+        workcell = build_color_picker_workcell(seed=2)
+        ColorPickerApp(config, workcell=workcell).run()
+        fetched = sum(1 for r in workcell.action_records() if r.action == "get_plate")
+        assert fetched == _plates_needed(config)
 
 
 class TestPredictorParity:
