@@ -127,7 +127,7 @@ def main() -> int:
 
     print("\nTransport bindings are visible on every module:")
     described = build_color_picker_workcell(seed=SEED).module("sciclops").describe()
-    print(f"   unbound module: two_phase={described['two_phase']}, driver={described['driver']}")
+    print(f"   unbound module: actions={described['actions']}, driver={described['driver']}")
     return 0
 
 

@@ -51,9 +51,9 @@ from repro.solvers.base import ColorSolver, make_solver
 from repro.utils.rng import RandomSource
 from repro.vision.extraction import WellColorExtractor
 from repro.wei.concurrent import ConcurrentWorkflowEngine
-from repro.wei.engine import StepResult, WorkflowError, robotic_command_count
 from repro.wei.runlog import RunLogger
 from repro.wei.workcell import Workcell, build_color_picker_workcell
+from repro.wei.workflow import StepResult, WorkflowError
 
 __all__ = ["ColorPickerApp"]
 
@@ -176,22 +176,18 @@ class ColorPickerApp:
 
     def _invoke_action(self, module_name: str, action: str, **kwargs):
         invocation = yield ("action", module_name, action, kwargs)
-        if invocation.records:
-            start = min(record.start_time for record in invocation.records)
-            end = max(record.end_time for record in invocation.records)
-        else:
-            start = end = self.workcell.clock.now()
+        (record,) = invocation.records
         self._step_records.append(
             StepResult(
                 step_name=f"direct.{module_name}.{action}",
                 module=module_name,
                 action=action,
-                start_time=start,
-                end_time=end,
+                start_time=record.start_time,
+                end_time=record.end_time,
                 success=True,
                 return_value=invocation.return_value,
                 commands=invocation.commands,
-                robotic_commands=robotic_command_count(invocation),
+                robotic_commands=invocation.robotic_commands,
             )
         )
         return invocation

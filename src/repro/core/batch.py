@@ -126,6 +126,8 @@ def run_batch_sweep(
     for batch_size in batch_sizes:
         if batch_size < 1:
             raise ValueError(f"batch sizes must be >= 1, got {batch_size}")
+        if batch_size in configs:
+            raise ValueError(f"duplicate batch size {batch_size} in batch_sizes")
         experiment_seed = None if seed is None else seed + batch_size
         configs[batch_size] = ExperimentConfig(
             target=target,

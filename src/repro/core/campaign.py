@@ -42,7 +42,7 @@ from repro.obs import tracer as obs_tracer
 from repro.publish.portal import DataPortal, PortalBackend
 from repro.publish.records import RunRecord, SampleRecord
 from repro.sim.durations import DurationTable, ModuleSpeedProfile, paper_calibrated_durations
-from repro.wei.concurrent import ConcurrentWorkflowEngine
+from repro.wei.concurrent import ConcurrentWorkflowEngine, TransportRetryStats
 from repro.wei.coordinator import (
     ASSIGNMENT_POLICIES,
     MultiWorkcellCoordinator,
@@ -127,7 +127,8 @@ class CampaignResult:
     workcell_makespans: List[float] = field(default_factory=list)
     #: Which shard/lane executed each run, in run order.
     assignments: List[ShardAssignment] = field(default_factory=list)
-    #: Execution mode the campaign ran under (``"sim"`` or ``"paced"``).
+    #: Execution mode the campaign ran under (``"sim"``, ``"paced"`` or
+    #: ``"wire"``).
     transport: str = "sim"
     #: Transport-layer report for transport campaigns: completion counts,
     #: the real wall seconds the campaign took, delivery-latency summary
@@ -562,6 +563,12 @@ def run_campaign(
                 **consumables,
             )
     lanes = [engine.workcell.ot2_barty_pairs()[:n_ot2] for engine in coordinator.engines]
+    for engine, shard_lanes in zip(coordinator.engines, lanes):
+        if len(shard_lanes) < n_ot2:
+            raise ValueError(
+                f"workcell {engine.workcell.name!r} has {len(shard_lanes)} OT-2/barty "
+                f"lane(s); n_ot2={n_ot2} needs {n_ot2} on every workcell"
+            )
 
     def make_program(config: ExperimentConfig, shard: int, lane: tuple):
         ot2, barty = lane
@@ -642,27 +649,18 @@ def _transport_report(
     """
     latencies: List[float] = []
     delivered = rejected_duplicate = rejected_late = timed_out = 0
-    recovery = {
-        "retries": 0,
-        "resyncs": 0,
-        "crc_errors": 0,
-        "duplicates_dropped": 0,
-        "completions_retransmitted": 0,
-    }
-    any_transport = False
+    retry_snapshots: List[TransportRetryStats] = []
     for engine in coordinator.engines:
         stats = engine.transport_stats()
         if stats is None:
             continue
-        any_transport = True
         delivered += stats.delivered
         rejected_duplicate += stats.rejected_duplicate
         rejected_late += stats.rejected_late
         timed_out += stats.timed_out
         latencies.extend(engine.completion_latencies())
-        for key, value in engine.transport_retry_stats().to_dict().items():
-            recovery[key] += value
-    if not any_transport:
+        retry_snapshots.append(engine.transport_retry_stats())
+    if not retry_snapshots:
         return TransportReport()
     return TransportReport(
         delivered=delivered,
@@ -673,5 +671,5 @@ def _transport_report(
         mean_delivery_latency_s=sum(latencies) / len(latencies) if latencies else 0.0,
         max_delivery_latency_s=max(latencies, default=0.0),
         present=True,
-        **recovery,
+        **TransportRetryStats.total(retry_snapshots).to_dict(),
     )

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from typing import Collection, Dict, Iterable, Optional, Sequence, Tuple
 
 from repro.utils.units import format_duration
-from repro.wei.engine import StepResult
 from repro.wei.workcell import Workcell
+from repro.wei.workflow import StepResult
 
 __all__ = ["SdlMetrics", "compute_metrics", "metrics_from_step_results", "PAPER_TABLE1"]
 
@@ -173,7 +173,7 @@ def metrics_from_step_results(
     when one experiment had the workcell to itself but over-counts when
     several experiments run *concurrently* on shared devices.  This variant
     attributes commands and synthesis time from the
-    :class:`~repro.wei.engine.StepResult` records a single run actually
+    :class:`~repro.wei.workflow.StepResult` records a single run actually
     executed, so each concurrent lane reports only its own work.
     ``ot2_modules`` names the module(s) whose busy time counts as synthesis
     (the lane's liquid handler).

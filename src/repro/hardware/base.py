@@ -199,16 +199,11 @@ class SimulatedDevice:
     # ------------------------------------------------------------------
     # Two-phase action lifecycle
     # ------------------------------------------------------------------
-    def has_submit(self, action: str) -> bool:
-        """True when ``action`` has a two-phase ``submit_<action>`` implementation."""
-        return callable(getattr(self, f"submit_{action}", None))
-
     def submit(self, action: str, **kwargs: Any) -> ActionHandle:
         """Submit ``action`` (phase one) and return its :class:`ActionHandle`.
 
         Raises :class:`DeviceError` when the action has no two-phase
-        implementation; callers that tolerate synchronous fallbacks (e.g.
-        custom module actions) should check :meth:`has_submit` first.
+        implementation.
         """
         impl = getattr(self, f"submit_{action}", None)
         if not callable(impl):

@@ -7,12 +7,12 @@ modules, and *workflows* are declarative sequences of actions on modules that
 applications invoke.  This package reproduces the pieces of that platform the
 colour-picker application needs:
 
-* :mod:`repro.wei.module` -- the module abstraction (device + action registry),
+* :mod:`repro.wei.module` -- the module abstraction (a device and its
+  ``submit_<action>`` methods as named actions),
 * :mod:`repro.wei.workcell` -- workcell assembly, including a YAML loader and
   the default colour-picker workcell factory,
-* :mod:`repro.wei.workflow` -- declarative workflow specifications,
-* :mod:`repro.wei.engine` -- workflow run results, step timing records,
-  ``WorkflowError`` and the retrying command submission,
+* :mod:`repro.wei.workflow` -- declarative workflow specifications, workflow
+  run results, step timing records and ``WorkflowError``,
 * :mod:`repro.wei.concurrent` -- the one executor: an event-driven engine
   that runs workflows and application programs over a workcell (one
   program, or many interleaved over shared devices for the Section 4
@@ -33,12 +33,17 @@ from repro.wei.concurrent import (
     ProgramHandle,
 )
 from repro.wei.coordinator import MultiWorkcellCoordinator, ShardAssignment
-from repro.wei.engine import StepResult, WorkflowError, WorkflowRunResult
 from repro.wei.module import ActionSubmission, Module, ModuleActionError
 from repro.wei.runlog import RunLogger
 from repro.wei.scheduler import ParallelMixPlan, plan_parallel_mixes
 from repro.wei.workcell import Workcell, WorkcellConfigError, build_color_picker_workcell
-from repro.wei.workflow import WorkflowSpec, WorkflowStep
+from repro.wei.workflow import (
+    StepResult,
+    WorkflowError,
+    WorkflowRunResult,
+    WorkflowSpec,
+    WorkflowStep,
+)
 
 __all__ = [
     "Module",

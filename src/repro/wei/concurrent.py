@@ -26,15 +26,16 @@ interleaved over shared devices, which the engine provides:
   sits at the exchange, is parked until a later completion frees the slot
   (the physical workcell has single-plate nests, so two concurrent plates
   must take turns at the camera stage and the exchange);
-* per-step retries of recoverable command failures go through
-  :func:`~repro.wei.engine.attempt_submission`, in phase one.
+* per-step retries of recoverable command failures happen in phase one, at
+  the start event (the paper observes that "most failures occur during
+  reception and processing of commands").
 
 Applications participate through *programs*: generators that yield requests
 
 ``("workflow", spec, payload)``
     run a workflow concurrently; the generator resumes with the
-    :class:`~repro.wei.engine.WorkflowRunResult` (or has the
-    :class:`~repro.wei.engine.WorkflowError` thrown into it on failure),
+    :class:`~repro.wei.workflow.WorkflowRunResult` (or has the
+    :class:`~repro.wei.workflow.WorkflowError` thrown into it on failure),
 ``("action", module_name, action, kwargs)``
     one exclusive module action; resumes with the
     :class:`~repro.wei.module.ActionInvocation`,
@@ -69,26 +70,27 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Any, Callable, Deque, Dict, Generator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.obs import tracer as obs_tracer
 from repro.sim.clock import SimClock
 from repro.sim.events import EventScheduler
+from repro.sim.faults import CommandFailure
 from repro.sim.resources import ResourceTimeline
 from repro.wei.drivers.base import TransportTicket
 from repro.wei.drivers.registry import DriverRegistry
-from repro.wei.engine import (
-    StepResult,
-    WorkflowError,
-    WorkflowRunResult,
-    attempt_submission,
-    robotic_command_count,
-)
 from repro.wei.module import ActionSubmission, Module
 from repro.wei.runlog import RunLogger
 from repro.wei.workcell import Workcell
-from repro.wei.workflow import WorkflowSpec, WorkflowStep, resolve_payload_references
+from repro.wei.workflow import (
+    StepResult,
+    WorkflowError,
+    WorkflowRunResult,
+    WorkflowSpec,
+    WorkflowStep,
+    resolve_payload_references,
+)
 
 __all__ = [
     "ConcurrencyError",
@@ -114,6 +116,13 @@ class TransportRetryStats:
     crc_errors: int = 0
     duplicates_dropped: int = 0
     completions_retransmitted: int = 0
+
+    @classmethod
+    def total(cls, snapshots: Sequence[Any]) -> "TransportRetryStats":
+        """Sum these counters over ``snapshots`` (``WireStats`` or ``TransportRetryStats``)."""
+        return cls(
+            **{f.name: sum(getattr(snapshot, f.name) for snapshot in snapshots) for f in fields(cls)}
+        )
 
     def to_dict(self) -> Dict[str, int]:
         """JSON-serialisable form."""
@@ -446,24 +455,11 @@ class ConcurrentWorkflowEngine:
         counters are read atomically under that driver's own lock by its
         ``stats()``).
         """
-        totals = {
-            "retries": 0,
-            "resyncs": 0,
-            "crc_errors": 0,
-            "duplicates_dropped": 0,
-            "completions_retransmitted": 0,
-        }
         if self.drivers is None:
             return TransportRetryStats()
-        for driver in self.drivers.drivers():
-            stats_fn = getattr(driver, "stats", None)
-            if stats_fn is None:
-                continue
-            snapshot = stats_fn()
-            counters = snapshot.to_dict() if hasattr(snapshot, "to_dict") else dict(snapshot)
-            for key in totals:
-                totals[key] += int(counters.get(key, 0))
-        return TransportRetryStats(**totals)
+        return TransportRetryStats.total(
+            [driver.stats() for driver in self.drivers.drivers() if hasattr(driver, "stats")]
+        )
 
     def completion_latencies(self) -> List[float]:
         """Real posted->consumed latencies of delivered completions (seconds)."""
@@ -652,7 +648,7 @@ class ConcurrentWorkflowEngine:
                 retries=outcome.retries,
                 return_value=invocation.return_value,
                 commands=invocation.commands,
-                robotic_commands=robotic_command_count(invocation),
+                robotic_commands=invocation.robotic_commands,
             )
         )
         task.index += 1
@@ -882,10 +878,21 @@ class ConcurrentWorkflowEngine:
             action=activity.action,
         ) as submit_span:
             device.clock = local
+            submission: Optional[ActionSubmission] = None
+            retries = 0
+            last_error: Optional[str] = None
             try:
-                submission, retries, last_error = attempt_submission(
-                    activity.module, activity.action, activity.args, activity.max_retries
-                )
+                # Command faults fire at submission, so the whole retry loop
+                # is phase one; a submission that stays None failed for good.
+                while True:
+                    try:
+                        submission = activity.module.submit(activity.action, **activity.args)
+                        break
+                    except CommandFailure as failure:
+                        last_error = str(failure)
+                        if not failure.recoverable or retries == activity.max_retries:
+                            break
+                        retries += 1
             finally:
                 device.clock = saved_clock
             end = local.now()

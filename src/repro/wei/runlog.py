@@ -12,16 +12,15 @@ from __future__ import annotations
 import json
 from dataclasses import replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import Dict, List, Optional
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers only
-    from repro.wei.engine import WorkflowRunResult
+from repro.wei.workflow import WorkflowRunResult
 
 __all__ = ["RunLogger"]
 
 
 class RunLogger:
-    """Collects :class:`~repro.wei.engine.WorkflowRunResult` records.
+    """Collects :class:`~repro.wei.workflow.WorkflowRunResult` records.
 
     Parameters
     ----------

@@ -53,6 +53,11 @@ class TestValidation:
         with pytest.raises(ValueError):
             run_batch_sweep(batch_sizes=(0,), n_samples=8)
 
+    def test_duplicate_batch_sizes_rejected(self):
+        # Results are keyed by batch size: a repeat would silently run once.
+        with pytest.raises(ValueError, match="duplicate batch size 4"):
+            run_batch_sweep(batch_sizes=(4, 4, 8), n_samples=8)
+
     def test_seeded_sweep_reproducible(self):
         a = run_batch_sweep(batch_sizes=(2,), n_samples=8, seed=3)
         b = run_batch_sweep(batch_sizes=(2,), n_samples=8, seed=3)

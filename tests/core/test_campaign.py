@@ -87,6 +87,18 @@ class TestCampaignOptions:
         with pytest.raises(ValueError):
             run_campaign(samples_per_run=0)
 
+    def test_fleet_with_too_few_lanes_rejected_before_any_run(self):
+        # A fleet of one-lane workcells cannot host a two-lane campaign; it
+        # must not quietly run on one lane while reporting n_ot2=2.
+        coordinator = MultiWorkcellCoordinator.build_color_picker_fleet(2, seed=1, n_ot2=1)
+        portal = DataPortal()
+        with pytest.raises(ValueError, match="workcell 'workcell-0' has 1 OT-2/barty"):
+            run_campaign(
+                n_runs=2, samples_per_run=2, seed=1, n_ot2=2, coordinator=coordinator, portal=portal
+            )
+        assert portal.n_runs == 0
+        assert coordinator.assignments == []
+
 
 class TestConsumables:
     """Campaigns run every job on the workcells they build, which nothing

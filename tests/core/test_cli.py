@@ -65,6 +65,11 @@ class TestCommands:
         with pytest.raises(SystemExit):
             main(["sweep", "--batch-sizes", "two,four"])
 
+    def test_sweep_rejects_duplicate_batch_sizes(self, capsys):
+        exit_code = main(["sweep", "--batch-sizes", "4,4,8", "--samples", "8"])
+        assert exit_code == 2
+        assert "error: duplicate batch size 4" in capsys.readouterr().err
+
     def test_campaign_command_with_portal_dir(self, capsys, tmp_path):
         portal_dir = tmp_path / "portal"
         exit_code = main(

@@ -7,8 +7,8 @@ from repro.core.experiment import ExperimentConfig
 from repro.core.metrics import compute_metrics
 from repro.core.protocol import build_mix_protocol
 from repro.sim.faults import FaultPolicy
-from repro.wei.engine import WorkflowError
 from repro.wei.workcell import build_color_picker_workcell
+from repro.wei.workflow import WorkflowError
 
 
 class TestInterventionMetrics:

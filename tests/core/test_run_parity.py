@@ -28,8 +28,8 @@ import pytest
 from repro.core.app import ColorPickerApp
 from repro.core.experiment import ExperimentConfig
 from repro.sim.faults import FaultPolicy
-from repro.wei.engine import WorkflowError
 from repro.wei.workcell import build_color_picker_workcell
+from repro.wei.workflow import WorkflowError
 
 #: ``(n_samples, batch_size)``: one plate, one plate with a ragged last
 #: batch, two plates, and three plates with batches that split a plate.

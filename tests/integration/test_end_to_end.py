@@ -19,8 +19,8 @@ from repro import (
 from repro.analysis.figure4 import check_figure4_shape
 from repro.core.metrics import PAPER_TABLE1
 from repro.sim.faults import FaultPolicy
-from repro.wei.engine import WorkflowError
 from repro.wei.workcell import Workcell
+from repro.wei.workflow import WorkflowError
 
 
 class TestFullPipelineDirectMode:

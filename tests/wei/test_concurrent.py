@@ -9,8 +9,7 @@ from repro.core.protocol import build_mix_protocol
 from repro.hardware.labware import Plate
 from repro.sim.faults import FaultPolicy
 from repro.wei.concurrent import ConcurrencyError, ConcurrentWorkflowEngine
-from repro.wei.engine import WorkflowError
-from repro.wei.workflow import WorkflowSpec
+from repro.wei.workflow import WorkflowError, WorkflowSpec
 
 
 def mix_spec(ot2: str) -> WorkflowSpec:

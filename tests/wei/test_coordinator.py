@@ -4,7 +4,7 @@ import pytest
 
 from repro.sim.durations import paper_calibrated_durations
 from repro.wei.coordinator import MultiWorkcellCoordinator
-from repro.wei.engine import WorkflowError
+from repro.wei.workflow import WorkflowError
 
 
 def sleeper(duration, marker=None):

@@ -8,9 +8,8 @@ import pytest
 
 from repro.sim.faults import FaultPolicy
 from repro.wei.concurrent import ConcurrentWorkflowEngine
-from repro.wei.engine import WorkflowError
 from repro.wei.workcell import build_color_picker_workcell
-from repro.wei.workflow import WorkflowSpec
+from repro.wei.workflow import WorkflowError, WorkflowSpec
 
 
 @pytest.fixture

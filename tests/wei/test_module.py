@@ -5,12 +5,38 @@ import pytest
 from repro.hardware.pf400 import Pf400Device
 from repro.hardware.sciclops import SciclopsDevice
 from repro.wei.module import Module, ModuleActionError
+from repro.wei.workcell import Workcell, build_color_picker_workcell
+
+#: The actions each device type implements as ``submit_<action>``.
+DEVICE_ACTIONS = {
+    "sciclops": ["get_plate", "status"],
+    "pf400": ["move_home", "transfer"],
+    "camera": ["take_picture"],
+    "ot2": ["replace_tips", "run_protocol"],
+    "barty": ["drain_colors", "fill_colors", "refill_colors"],
+}
+
+WORKCELL_YAML = """
+name: yaml_cell
+modules:
+  - type: sciclops
+  - type: pf400
+  - type: ot2
+  - type: ot2
+  - type: barty
+  - type: camera
+"""
+
+WORKCELL_BUILDERS = {
+    "factory": lambda: build_color_picker_workcell(n_ot2=2, seed=0),
+    "yaml": lambda: Workcell.from_yaml(WORKCELL_YAML, seed=0),
+}
 
 
 @pytest.fixture
 def sciclops_module(deck, clock):
     device = SciclopsDevice(deck, clock=clock)
-    return Module("sciclops", device, actions={"get_plate": device.get_plate, "status": device.status})
+    return Module("sciclops", device)
 
 
 class TestInvoke:
@@ -28,7 +54,7 @@ class TestInvoke:
     def test_invoke_with_kwargs(self, deck, clock):
         sciclops = SciclopsDevice(deck, clock=clock)
         pf400 = Pf400Device(deck, clock=clock)
-        module = Module("pf400", pf400, actions={"transfer": pf400.transfer})
+        module = Module("pf400", pf400)
         sciclops.get_plate()
         invocation = module.invoke("transfer", source="sciclops.exchange", target="camera.stage")
         assert invocation.commands == 1
@@ -58,9 +84,7 @@ class TestIntrospection:
 
     def test_describe_reports_two_phase_actions_and_driver(self, sciclops_module):
         description = sciclops_module.describe()
-        # Both registered device actions ride the submit_<action> path...
-        assert description["two_phase"] == ["get_plate", "status"]
-        # ...and no transport is bound by default.
+        # No transport is bound by default.
         assert description["driver"] is None
 
         class NamedDriver:
@@ -72,17 +96,6 @@ class TestIntrospection:
         sciclops_module.bind_driver(None)
         assert sciclops_module.driver_name is None
 
-    def test_custom_callable_is_not_two_phase(self, deck, clock):
-        device = SciclopsDevice(deck, clock=clock)
-        module = Module(
-            "sciclops",
-            device,
-            actions={"get_plate": device.get_plate, "poke": lambda: "poked"},
-        )
-        description = module.describe()
-        assert "poke" in description["actions"]
-        assert description["two_phase"] == ["get_plate"]
-
     def test_auto_discovery_of_actions(self, deck, clock):
         device = Pf400Device(deck, clock=clock)
         module = Module("pf400", device)
@@ -91,3 +104,22 @@ class TestIntrospection:
         # Base-class bookkeeping must not be exposed as device actions.
         assert not module.has_action("reset_log")
         assert not module.has_action("describe")
+
+
+@pytest.mark.parametrize(
+    "builder, module_name",
+    [
+        (builder, name)
+        for builder in sorted(WORKCELL_BUILDERS)
+        for name in WORKCELL_BUILDERS[builder]().modules
+    ],
+)
+def test_built_modules_expose_exactly_their_device_submits(builder, module_name):
+    module = WORKCELL_BUILDERS[builder]().module(module_name)
+    submits = sorted(
+        attr[len("submit_") :] for attr in dir(module.device) if attr.startswith("submit_")
+    )
+    assert module.action_names() == submits == DEVICE_ACTIONS[module.module_type]
+    with pytest.raises(ModuleActionError, match="has no action"):
+        module.submit("fly")
+    assert module.device.action_log == []

@@ -12,9 +12,8 @@ import pytest
 from repro.core.protocol import build_mix_protocol
 from repro.hardware.base import DeviceError
 from repro.hardware.labware import Plate
-from repro.sim.faults import FaultPolicy
+from repro.sim.faults import CommandFailure, FaultPolicy
 from repro.wei.concurrent import ConcurrentWorkflowEngine
-from repro.wei.engine import attempt_submission
 from repro.wei.module import ActionSubmission, Module
 from repro.wei.workflow import WorkflowSpec
 
@@ -134,31 +133,12 @@ class TestModuleSubmission:
         plate = workcell.module("sciclops").invoke("get_plate").return_value
         assert workcell.deck.plate_at("sciclops.exchange") is plate
 
-    def test_custom_action_falls_back_to_synchronous(self, workcell):
-        sciclops = workcell.module("sciclops").device
-        seen = []
-        module = Module("custom", sciclops, actions={"ping": lambda: seen.append("now") or "pong"})
-        submission = module.submit("ping")
-        # No two-phase implementation: the callable ran at submission.
-        assert seen == ["now"]
-        assert submission.completed
-        assert submission.complete().return_value == "pong"
-
     def test_auto_discovery_excludes_submit_methods(self, workcell):
-        # submit_* methods are phase-one halves, not standalone actions: an
-        # auto-discovered "submit_transfer" action would charge time via the
-        # synchronous fallback but never complete the handle's mutations.
+        # submit_* methods are phase-one halves, exposed under their action
+        # names rather than as standalone "submit_*" actions.
         module = Module("auto", workcell.module("pf400").device)
         assert "transfer" in module.actions
         assert not any(name.startswith("submit") for name in module.action_names())
-
-    def test_renamed_device_action_is_not_two_phase(self, workcell):
-        # "fetch" maps onto get_plate; the name mismatch must not silently
-        # resolve to submit_get_plate (a custom registration owns its action).
-        sciclops = workcell.module("sciclops").device
-        module = Module("renamed", sciclops, actions={"fetch": sciclops.get_plate})
-        submission = module.submit("fetch")
-        assert submission.completed  # executed synchronously at submission
 
     def test_retries_happen_at_submission(self, make_workcell):
         workcell = make_workcell(
@@ -168,11 +148,14 @@ class TestModuleSubmission:
         module = workcell.module("sciclops")
         total_retries = 0
         for _ in range(8):
-            submission, retries, _error = attempt_submission(module, "status", {}, max_retries=50)
-            assert submission is not None
-            total_retries += retries
+            while True:
+                try:
+                    submission = module.submit("status")
+                    break
+                except CommandFailure:
+                    total_retries += 1
             # Failed attempts are logged at submission time, before complete.
-            assert sum(1 for r in module.device.action_log if not r.success) >= total_retries
+            assert sum(1 for r in module.device.action_log if not r.success) == total_retries
             assert submission.complete().commands == 1
         assert total_retries > 0
 
